@@ -1,7 +1,5 @@
 #include "cache/partitioned_bank.hh"
 
-#include <limits>
-
 #include "common/log.hh"
 
 namespace cdcs
@@ -20,83 +18,83 @@ PartitionedBank::PartitionedBank(std::uint64_t num_lines,
 void
 PartitionedBank::growTables(VcId vc)
 {
-    if (vc >= vcOccupancy.size()) {
-        vcOccupancy.resize(vc + 1, 0);
-        vcTarget.resize(vc + 1, unmanagedTarget);
-    }
+    if (vc >= vcs.size())
+        vcs.resize(vc + 1);
 }
 
 std::uint32_t
-PartitionedBank::pickVictim(std::uint32_t set, VcId /*vc*/)
+PartitionedBank::pickVictim(std::uint32_t set) const
 {
     // Victim priority: (1) LRU line of an over-budget VC — including
     // the inserting VC itself once it exceeds its own target, which is
     // what keeps unallocated capacity unused (Sec. IV-C); (2) an
     // invalid way (partitions still growing toward their targets);
     // (3) the set's global LRU (set-level skew with all VCs at
-    // target).
-    std::uint32_t over_budget_way = array.numWays();
-    std::uint64_t over_budget_lru = std::numeric_limits<std::uint64_t>::max();
-    std::uint32_t invalid_way = array.numWays();
+    // target). The LRU is the highest rank; ranks are distinct, so
+    // "rank + 1 > best" with best = 0 picks the unique maximum.
+    const std::uint32_t ways = array.numWays();
+    std::uint32_t over_budget_way = ways;
+    std::uint32_t over_budget_best = 0;
+    std::uint32_t invalid_way = ways;
     std::uint32_t global_way = 0;
-    std::uint64_t global_lru = std::numeric_limits<std::uint64_t>::max();
+    std::uint32_t global_best = 0;
 
-    for (std::uint32_t w = 0; w < array.numWays(); w++) {
-        const CacheLine &line = array.entry(set, w);
-        if (!line.valid) {
-            if (invalid_way == array.numWays())
+    for (std::uint32_t w = 0; w < ways; w++) {
+        if (!array.valid(set, w)) {
+            if (invalid_way == ways)
                 invalid_way = w;
             continue;
         }
-        if (line.lruStamp < global_lru) {
-            global_lru = line.lruStamp;
+        const std::uint32_t score = array.rank(set, w) + 1;
+        if (score > global_best) {
+            global_best = score;
             global_way = w;
         }
-        const std::uint64_t occ =
-            line.vc < vcOccupancy.size() ? vcOccupancy[line.vc] : 0;
-        const std::uint64_t tgt = line.vc < vcTarget.size()
-            ? vcTarget[line.vc] : unmanagedTarget;
-        if (occ > tgt && line.lruStamp < over_budget_lru) {
-            over_budget_lru = line.lruStamp;
+        if (score > over_budget_best && overBudget(array.vc(set, w))) {
+            over_budget_best = score;
             over_budget_way = w;
         }
     }
-    if (over_budget_way < array.numWays())
+    if (over_budget_way < ways)
         return over_budget_way;
-    if (invalid_way < array.numWays())
+    if (invalid_way < ways)
         return invalid_way;
     return global_way;
 }
 
 void
-PartitionedBank::noteEviction(const CacheLine &line)
+PartitionedBank::noteEviction(VcId vc)
 {
-    cdcs_assert(line.vc < vcOccupancy.size() && vcOccupancy[line.vc] > 0,
+    cdcs_assert(vc < vcs.size() && vcs[vc].occupancy > 0,
                 "eviction from VC with zero occupancy");
-    vcOccupancy[line.vc]--;
+    vcs[vc].occupancy--;
     totalValid--;
 }
 
 bool
 PartitionedBank::probeHit(LineAddr addr, VcId vc, TileId core)
 {
-    CacheLine *line = array.probe(addr);
-    if (line == nullptr)
+    const std::uint32_t set = array.setOf(addr);
+    const std::uint32_t way = array.find(set, addr);
+    if (way == array.numWays())
         return false;
-    cdcs_assert(line->vc == vc, "line owned by a different VC");
-    line->sharers |= 1ull << (core % 64);
+    cdcs_assert(array.vc(set, way) == vc, "line owned by a different VC");
+    array.touch(set, way);
+    array.addSharers(set, way, 1ull << (core % 64));
     return true;
 }
 
 std::uint32_t
 PartitionedBank::pickOwnVictim(std::uint32_t set, VcId vc) const
 {
-    std::uint32_t own_way = array.numWays();
-    std::uint64_t own_lru = std::numeric_limits<std::uint64_t>::max();
-    for (std::uint32_t w = 0; w < array.numWays(); w++) {
-        const CacheLine &line = array.entry(set, w);
-        if (line.valid && line.vc == vc && line.lruStamp < own_lru) {
-            own_lru = line.lruStamp;
+    const std::uint32_t ways = array.numWays();
+    std::uint32_t own_way = ways;
+    std::uint32_t own_best = 0;
+    for (std::uint32_t w = 0; w < ways; w++) {
+        const std::uint32_t score = array.rank(set, w) + 1;
+        if (array.valid(set, w) && array.vc(set, w) == vc &&
+            score > own_best) {
+            own_best = score;
             own_way = w;
         }
     }
@@ -106,9 +104,9 @@ PartitionedBank::pickOwnVictim(std::uint32_t set, VcId vc) const
 bool
 PartitionedBank::atTarget(VcId vc) const
 {
-    if (vc >= vcTarget.size() || vcTarget[vc] == unmanagedTarget)
+    if (vc >= vcs.size() || vcs[vc].target == unmanagedTarget)
         return false;
-    return vcOccupancy[vc] >= vcTarget[vc];
+    return vcs[vc].occupancy >= vcs[vc].target;
 }
 
 BankAccessResult
@@ -130,20 +128,18 @@ PartitionedBank::insertLine(LineAddr addr, VcId vc,
             return res;
         }
     } else {
-        way = pickVictim(set, vc);
+        way = pickVictim(set);
     }
 
-    CacheLine &victim = array.entry(set, way);
-    if (victim.valid) {
+    if (array.valid(set, way)) {
         res.evicted = true;
-        res.evictedAddr = victim.addr;
-        res.evictedVc = victim.vc;
-        res.evictedSharers = victim.sharers;
-        noteEviction(victim);
+        res.evictedAddr = array.addr(set, way);
+        res.evictedVc = array.vc(set, way);
+        res.evictedSharers = array.sharers(set, way);
+        noteEviction(res.evictedVc);
     }
-    CacheLine &filled = array.install(addr, vc, way);
-    filled.sharers = sharers;
-    vcOccupancy[vc]++;
+    array.install(set, way, addr, vc, sharers);
+    vcs[vc].occupancy++;
     totalValid++;
     return res;
 }
@@ -168,12 +164,13 @@ PartitionedBank::access(LineAddr addr, VcId vc, TileId core)
 bool
 PartitionedBank::extractForMove(LineAddr addr, CacheLine &out)
 {
-    CacheLine *line = array.probe(addr);
-    if (line == nullptr)
+    const std::uint32_t set = array.setOf(addr);
+    const std::uint32_t way = array.find(set, addr);
+    if (way == array.numWays())
         return false;
-    out = *line;
-    noteEviction(*line);
-    line->valid = false;
+    out = array.entry(set, way);
+    noteEviction(out.vc);
+    array.invalidate(set, way);
     return true;
 }
 
@@ -194,11 +191,12 @@ PartitionedBank::installMoved(const CacheLine &moved, VcId vc)
 bool
 PartitionedBank::invalidateLine(LineAddr addr)
 {
-    CacheLine *line = array.probe(addr);
-    if (line == nullptr)
+    const std::uint32_t set = array.setOf(addr);
+    const std::uint32_t way = array.find(set, addr);
+    if (way == array.numWays())
         return false;
-    noteEviction(*line);
-    line->valid = false;
+    noteEviction(array.vc(set, way));
+    array.invalidate(set, way);
     return true;
 }
 
@@ -206,26 +204,58 @@ void
 PartitionedBank::setTarget(VcId vc, std::uint64_t target_lines)
 {
     growTables(vc);
-    vcTarget[vc] = target_lines;
+    vcs[vc].target = target_lines;
 }
 
 void
 PartitionedBank::clearTargets()
 {
-    for (auto &t : vcTarget)
-        t = unmanagedTarget;
+    for (VcState &s : vcs)
+        s.target = unmanagedTarget;
 }
 
 std::uint64_t
 PartitionedBank::occupancy(VcId vc) const
 {
-    return vc < vcOccupancy.size() ? vcOccupancy[vc] : 0;
+    return vc < vcs.size() ? vcs[vc].occupancy : 0;
 }
 
 std::uint64_t
 PartitionedBank::target(VcId vc) const
 {
-    return vc < vcTarget.size() ? vcTarget[vc] : unmanagedTarget;
+    return vc < vcs.size() ? vcs[vc].target : unmanagedTarget;
+}
+
+bool
+PartitionedBank::walk(std::uint32_t num_sets,
+                      const std::function<bool(const CacheLine &)>
+                          &should_go,
+                      std::vector<CacheLine> *out, std::uint64_t &removed)
+{
+    for (std::uint32_t i = 0; i < num_sets; i++) {
+        if (walkCursor >= array.numSets()) {
+            walkCursor = 0;
+            return true;
+        }
+        for (std::uint32_t w = 0; w < array.numWays(); w++) {
+            if (!array.valid(walkCursor, w))
+                continue;
+            const CacheLine line = array.entry(walkCursor, w);
+            if (!should_go(line))
+                continue;
+            if (out != nullptr)
+                out->push_back(line);
+            noteEviction(line.vc);
+            array.invalidate(walkCursor, w);
+            removed++;
+        }
+        walkCursor++;
+    }
+    if (walkCursor >= array.numSets()) {
+        walkCursor = 0;
+        return true;
+    }
+    return false;
 }
 
 bool
@@ -234,26 +264,7 @@ PartitionedBank::walkInvalidate(std::uint32_t num_sets,
                                     &should_go,
                                 std::uint64_t &invalidated)
 {
-    for (std::uint32_t i = 0; i < num_sets; i++) {
-        if (walkCursor >= array.numSets()) {
-            walkCursor = 0;
-            return true;
-        }
-        for (std::uint32_t w = 0; w < array.numWays(); w++) {
-            CacheLine &line = array.entry(walkCursor, w);
-            if (line.valid && should_go(line)) {
-                noteEviction(line);
-                line.valid = false;
-                invalidated++;
-            }
-        }
-        walkCursor++;
-    }
-    if (walkCursor >= array.numSets()) {
-        walkCursor = 0;
-        return true;
-    }
-    return false;
+    return walk(num_sets, should_go, nullptr, invalidated);
 }
 
 bool
@@ -262,34 +273,16 @@ PartitionedBank::walkCollect(std::uint32_t num_sets,
                                  &should_go,
                              std::vector<CacheLine> &out)
 {
-    for (std::uint32_t i = 0; i < num_sets; i++) {
-        if (walkCursor >= array.numSets()) {
-            walkCursor = 0;
-            return true;
-        }
-        for (std::uint32_t w = 0; w < array.numWays(); w++) {
-            CacheLine &line = array.entry(walkCursor, w);
-            if (line.valid && should_go(line)) {
-                out.push_back(line);
-                noteEviction(line);
-                line.valid = false;
-            }
-        }
-        walkCursor++;
-    }
-    if (walkCursor >= array.numSets()) {
-        walkCursor = 0;
-        return true;
-    }
-    return false;
+    std::uint64_t removed = 0;
+    return walk(num_sets, should_go, &out, removed);
 }
 
 void
 PartitionedBank::invalidateAll()
 {
     array.invalidateAll();
-    for (auto &occ : vcOccupancy)
-        occ = 0;
+    for (VcState &s : vcs)
+        s.occupancy = 0;
     totalValid = 0;
     walkCursor = 0;
 }

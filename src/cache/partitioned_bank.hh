@@ -174,16 +174,30 @@ class PartitionedBank
     const CacheArray &rawArray() const { return array; }
 
   private:
-    /** Ensure per-VC tables can index vc. */
+    /** Occupancy and capacity target of one VC, in lines. */
+    struct VcState
+    {
+        std::uint64_t occupancy = 0;
+        std::uint64_t target = unmanagedTarget;
+    };
+
+    /** Ensure the per-VC table can index vc. */
     void growTables(VcId vc);
 
+    /** True when the VC occupies more than its target. */
+    bool
+    overBudget(VcId vc) const
+    {
+        return vc < vcs.size() && vcs[vc].occupancy > vcs[vc].target;
+    }
+
     /**
-     * Pick a victim way in `set` for an insertion by `vc`:
+     * Pick a victim way in `set` for an insertion:
      * 1. LRU among lines of over-budget VCs (occupancy > target);
      * 2. any invalid way;
      * 3. global LRU of the set.
      */
-    std::uint32_t pickVictim(std::uint32_t set, VcId vc);
+    std::uint32_t pickVictim(std::uint32_t set) const;
 
     /** LRU way holding one of `vc`'s own lines (numWays if none). */
     std::uint32_t pickOwnVictim(std::uint32_t set, VcId vc) const;
@@ -195,12 +209,20 @@ class PartitionedBank
     BankAccessResult insertLine(LineAddr addr, VcId vc,
                                 std::uint64_t sharers);
 
-    /** Bookkeeping for removing a valid line. */
-    void noteEviction(const CacheLine &line);
+    /** Bookkeeping for removing a valid line of `vc`. */
+    void noteEviction(VcId vc);
+
+    /**
+     * Shared body of the walks: remove every valid line `should_go`
+     * selects in the next `num_sets` sets, appending it to `out` when
+     * non-null and counting it in `removed`.
+     */
+    bool walk(std::uint32_t num_sets,
+              const std::function<bool(const CacheLine &)> &should_go,
+              std::vector<CacheLine> *out, std::uint64_t &removed);
 
     CacheArray array;
-    std::vector<std::uint64_t> vcOccupancy;
-    std::vector<std::uint64_t> vcTarget;
+    std::vector<VcState> vcs;
     std::uint64_t totalValid = 0;
     std::uint32_t walkCursor = 0;
 };

@@ -1,6 +1,7 @@
 #include "mem/mem_migration.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/types.hh"
 #include "obs/stat_registry.hh"
@@ -56,45 +57,46 @@ std::vector<std::size_t>
 rowBudgetSelect(const std::vector<std::uint64_t> &pages,
                 const std::vector<double> &weights, int row_budget)
 {
+    // Sorting (row, candidate) pairs groups each row's members
+    // together in candidate order, so a row's weight is summed in the
+    // same order as a first-seen scan would sum it.
+    std::vector<std::pair<std::uint64_t, std::size_t>> by_row;
+    by_row.reserve(pages.size());
+    for (std::size_t i = 0; i < pages.size(); i++)
+        by_row.emplace_back(dramRowOf(pages[i]), i);
+    std::sort(by_row.begin(), by_row.end());
+
     struct Row
     {
         std::uint64_t id = 0;
         double weight = 0.0;
-        std::vector<std::size_t> members; ///< In candidate order.
+        std::size_t begin = 0; ///< Members: by_row[begin, end).
+        std::size_t end = 0;
     };
-    // Group in candidate order; the first-seen order of rows doesn't
-    // matter because the sort below orders on (weight, id) only.
     std::vector<Row> rows;
-    for (std::size_t i = 0; i < pages.size(); i++) {
-        const std::uint64_t row_id = dramRowOf(pages[i]);
-        Row *row = nullptr;
-        for (Row &r : rows) {
-            if (r.id == row_id) {
-                row = &r;
-                break;
-            }
-        }
-        if (row == nullptr) {
-            rows.push_back(Row{row_id, 0.0, {}});
-            row = &rows.back();
-        }
-        row->weight += weights[i];
-        row->members.push_back(i);
+    for (std::size_t k = 0; k < by_row.size(); k++) {
+        if (rows.empty() || rows.back().id != by_row[k].first)
+            rows.push_back(Row{by_row[k].first, 0.0, k, k});
+        rows.back().weight += weights[by_row[k].second];
+        rows.back().end = k + 1;
     }
+    // Row ids are distinct, so (weight, id) is a total order and the
+    // ranking does not depend on the order rows were found in.
     std::sort(rows.begin(), rows.end(),
               [](const Row &a, const Row &b) {
                   if (a.weight != b.weight)
                       return a.weight > b.weight;
                   return a.id < b.id;
               });
-    if (rows.size() > static_cast<std::size_t>(
-                          row_budget < 0 ? 0 : row_budget))
-        rows.resize(static_cast<std::size_t>(
-            row_budget < 0 ? 0 : row_budget));
+    const std::size_t budget =
+        static_cast<std::size_t>(row_budget < 0 ? 0 : row_budget);
+    if (rows.size() > budget)
+        rows.resize(budget);
     std::vector<std::size_t> kept;
-    for (const Row &row : rows)
-        kept.insert(kept.end(), row.members.begin(),
-                    row.members.end());
+    for (const Row &row : rows) {
+        for (std::size_t k = row.begin; k < row.end; k++)
+            kept.push_back(by_row[k].second);
+    }
     return kept;
 }
 

@@ -110,7 +110,7 @@ PartitionedNucaPolicy::relocateInstant(std::vector<PartitionedBank> &banks)
         const CacheArray &arr = banks[b].rawArray();
         for (std::uint32_t s = 0; s < arr.numSets(); s++) {
             for (std::uint32_t w = 0; w < arr.numWays(); w++) {
-                const CacheLine &line = arr.entry(s, w);
+                const CacheLine line = arr.entry(s, w);
                 if (line.valid && homeBank(line.vc, line.addr) != bank_id)
                     local.push_back(line);
             }

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "cache/cache_array.hh"
 #include "common/log.hh"
 #include "mem/mem_placement_registry.hh"
 #include "mem/mem_tiering_registry.hh"
@@ -413,6 +414,39 @@ Overrides::add(const std::string &kv, std::string *err)
     }
     entries.push_back(std::move(entry));
     return true;
+}
+
+bool
+Overrides::validate(std::string *err) const
+{
+    const SystemConfig defaults;
+    std::uint64_t lines = defaults.bankLines;
+    std::uint64_t ways = defaults.bankWays;
+    for (const Override &entry : entries) {
+        if (entry.key == "bankLines")
+            lines = entry.u;
+        else if (entry.key == "bankWays")
+            ways = entry.u;
+    }
+    const std::string geometry = "bankLines=" + std::to_string(lines) +
+        " bankWays=" + std::to_string(ways);
+    std::string problem;
+    if (ways > CacheArray::maxWays) {
+        problem = "more than " + std::to_string(CacheArray::maxWays) +
+            " ways (the tag store's recency ranks are 8-bit)";
+    } else if (lines % ways != 0) {
+        problem = "bankLines is not a multiple of bankWays";
+    } else {
+        const std::uint64_t sets = lines / ways;
+        if ((sets & (sets - 1)) != 0 || sets > (1ull << 31))
+            problem = std::to_string(sets) +
+                " sets, not a power of two up to 2^31";
+    }
+    if (problem.empty())
+        return true;
+    if (err != nullptr)
+        *err = "bad bank geometry " + geometry + ": " + problem;
+    return false;
 }
 
 void

@@ -48,6 +48,16 @@ class Overrides
     bool add(const std::string &kv, std::string *err);
 
     /**
+     * Checks across keys that add() cannot make one entry at a time.
+     * The LLC bank geometry set by the last `bankLines`/`bankWays`
+     * entries (defaults for unset ones) must be one the tag store can
+     * build: bankLines a multiple of bankWays, a power-of-two set
+     * count of at most 2^31, and at most CacheArray::maxWays ways.
+     * Returns false with a message in `*err` otherwise.
+     */
+    bool validate(std::string *err) const;
+
+    /**
      * Apply every SystemConfig-keyed override to `cfg` (study knobs
      * such as `mixes` are skipped; read them with knob()). Cannot
      * fail: every entry was validated and parsed by add().

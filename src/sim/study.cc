@@ -371,6 +371,10 @@ studiesCliMain(int argc, char **argv)
             names.push_back(arg);
         }
     }
+    if (std::string err; !overrides.validate(&err)) {
+        std::fprintf(stderr, "%s\n", err.c_str());
+        return 2;
+    }
 
     if (cmd == "list") {
         if (!names.empty() || !overrides.empty() || sharded) {

@@ -11,9 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "common/rng.hh"
 #include "mem/mem_migration.hh"
 #include "mem/mem_placement.hh"
 #include "mem/mem_placement_registry.hh"
@@ -147,6 +149,89 @@ TEST(RowBudgetSelectTest, SpendsBudgetInWholeRows)
     EXPECT_EQ(rowBudgetSelect(pages, weights, 100).size(), 5u);
     EXPECT_TRUE(rowBudgetSelect(pages, weights, 0).empty());
     EXPECT_TRUE(rowBudgetSelect(pages, weights, -3).empty());
+}
+
+/**
+ * Reference: the first-seen grouping rowBudgetSelect used before it
+ * sorted by row (a linear scan of the rows found so far per
+ * candidate).
+ */
+std::vector<std::size_t>
+rowBudgetSelectScan(const std::vector<std::uint64_t> &pages,
+                    const std::vector<double> &weights, int row_budget)
+{
+    struct Row
+    {
+        std::uint64_t id = 0;
+        double weight = 0.0;
+        std::vector<std::size_t> members;
+    };
+    std::vector<Row> rows;
+    for (std::size_t i = 0; i < pages.size(); i++) {
+        const std::uint64_t row_id = dramRowOf(pages[i]);
+        Row *row = nullptr;
+        for (Row &r : rows) {
+            if (r.id == row_id) {
+                row = &r;
+                break;
+            }
+        }
+        if (row == nullptr) {
+            rows.push_back(Row{row_id, 0.0, {}});
+            row = &rows.back();
+        }
+        row->weight += weights[i];
+        row->members.push_back(i);
+    }
+    std::sort(rows.begin(), rows.end(),
+              [](const Row &a, const Row &b) {
+                  if (a.weight != b.weight)
+                      return a.weight > b.weight;
+                  return a.id < b.id;
+              });
+    if (rows.size() > static_cast<std::size_t>(
+                          row_budget < 0 ? 0 : row_budget))
+        rows.resize(static_cast<std::size_t>(
+            row_budget < 0 ? 0 : row_budget));
+    std::vector<std::size_t> kept;
+    for (const Row &row : rows)
+        kept.insert(kept.end(), row.members.begin(), row.members.end());
+    return kept;
+}
+
+TEST(RowBudgetSelectTest, MatchesFirstSeenScan)
+{
+    // A few thousand candidates over a few hundred rows, so rows and
+    // pages repeat. On the first pass every weight is one of a few
+    // values, so many row sums tie; on the second, half are
+    // fractional, whose sum depends on the adding order. Each pass
+    // also runs negated, as the demotion side passes its weights.
+    for (const double tied_share : {1.0, 0.5}) {
+        const std::uint64_t seed = tied_share < 1.0 ? 2 : 1;
+        Rng rng(seed);
+        std::vector<std::uint64_t> pages;
+        std::vector<double> weights;
+        const double tied[] = {1.0, 2.0, 4.0, 0.5};
+        for (int i = 0; i < 3000; i++) {
+            pages.push_back((rng.below(300) << dramRowShift) |
+                            rng.below(1u << dramRowShift));
+            weights.push_back(rng.chance(tied_share)
+                                  ? tied[rng.below(4)]
+                                  : rng.uniform() * 10.0);
+        }
+        std::vector<double> negated;
+        for (const double w : weights)
+            negated.push_back(-w);
+        for (const int budget : {-1, 0, 1, 7, 64, 299, 300, 5000}) {
+            EXPECT_EQ(rowBudgetSelect(pages, weights, budget),
+                      rowBudgetSelectScan(pages, weights, budget))
+                << "seed " << seed << " budget " << budget;
+            EXPECT_EQ(rowBudgetSelect(pages, negated, budget),
+                      rowBudgetSelectScan(pages, negated, budget))
+                << "seed " << seed << " budget " << budget
+                << " (negated)";
+        }
+    }
 }
 
 /** Touch page `p` through the policy `n` times from controller 0. */

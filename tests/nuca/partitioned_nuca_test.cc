@@ -148,8 +148,9 @@ TEST(PartitionedNucaTest, BulkInvalidationPausesAndDropsLines)
     // Moved lines are gone (they will miss to memory).
     int resident = 0;
     for (TileId b = 0; b < 4; b++) {
+        const CacheArray &arr = fx.banks[b].rawArray();
         for (LineAddr a = 0; a < 200; a++) {
-            if (fx.banks[b].rawArray().peek(a) != nullptr)
+            if (arr.find(arr.setOf(a), a) != arr.numWays())
                 resident++;
         }
     }

@@ -2,11 +2,13 @@
  * @file
  * Tests for the typed key=value override parser behind
  * `cdcs_studies --set`: good and bad keys, type mismatches,
- * last-one-wins ordering, and the default < environment < override
- * precedence of the knob resolution.
+ * last-one-wins ordering, the cross-key bank-geometry check, and the
+ * default < environment < override precedence of the knob resolution.
  */
 
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -87,6 +89,42 @@ TEST(OverridesTest, RejectsTypeMismatches)
     SystemConfig cfg;
     ov.apply(cfg);
     EXPECT_EQ(cfg.meshWidth, SystemConfig{}.meshWidth);
+}
+
+TEST(OverridesTest, ValidatesBankGeometry)
+{
+    // Geometries the tag store cannot build are rejected with a
+    // message instead of reaching its constructor asserts.
+    const auto check = [](const std::vector<std::string> &kvs) {
+        Overrides ov;
+        std::string err;
+        for (const std::string &kv : kvs)
+            EXPECT_TRUE(ov.add(kv, &err)) << err;
+        err.clear();
+        const bool ok = ov.validate(&err);
+        EXPECT_EQ(ok, err.empty()) << err;
+        return err;
+    };
+    EXPECT_EQ(check({}), "");
+    EXPECT_EQ(check({"bankLines=4096"}), "");
+    EXPECT_EQ(check({"bankWays=256", "bankLines=65536"}), "");
+    // 12-way banks need both keys; neither order is rejected midway.
+    EXPECT_EQ(check({"bankWays=12", "bankLines=6144"}), "");
+    EXPECT_EQ(check({"bankLines=6144", "bankWays=12"}), "");
+    EXPECT_NE(check({"bankLines=1000"}).find("multiple of bankWays"),
+              std::string::npos);
+    EXPECT_NE(check({"bankWays=12"}).find("multiple of bankWays"),
+              std::string::npos);
+    EXPECT_NE(check({"bankLines=12288"}).find("power of two"),
+              std::string::npos);
+    EXPECT_NE(check({"bankWays=512", "bankLines=65536"}).find("8-bit"),
+              std::string::npos);
+    // A value that would wrap in the 32-bit field is caught before.
+    EXPECT_NE(check({"bankWays=4294967312"}).find("8-bit"),
+              std::string::npos);
+    EXPECT_NE(check({"bankLines=8192", "bankLines=8000"})
+                  .find("bankLines=8000"),
+              std::string::npos);
 }
 
 TEST(OverridesTest, LastValueWins)
