@@ -25,7 +25,7 @@ const StudyRegistrar registrar([] {
     spec.run = [](StudyContext &ctx) {
         const SystemConfig &base = ctx.cfg;
         SystemConfig numa = base;
-        numa.numaAwareMem = true;
+        numa.memPlacement = "first-touch";
         ctx.header(1);
 
         const MixSpec mix = MixSpec::cpu(48, 9950);

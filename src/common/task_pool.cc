@@ -6,7 +6,6 @@
 #include <string>
 
 #include "common/log.hh"
-#include "obs/stat_registry.hh"
 #include "obs/trace.hh"
 
 namespace cdcs
@@ -19,12 +18,6 @@ namespace
 /// nested run() calls then execute inline instead of blocking on the
 /// pool they are running inside of.
 thread_local bool inside_pool = false;
-
-// Registry mirrors of the pool's native counters, so `stats=pool`
-// lands them in the per-epoch metrics trace alongside everything else.
-const StatId kPoolSteals = StatRegistry::counter("pool.steals");
-const StatId kPoolWakeups = StatRegistry::counter("pool.wakeups");
-const StatId kPoolIdleNs = StatRegistry::counter("pool.idle_ns");
 
 } // anonymous namespace
 
@@ -81,7 +74,6 @@ WorkStealingPool::runOneTask(unsigned self)
         if (task != nullptr && i > 0) {
             // Found in a victim's deque, not the own share.
             steals.fetch_add(1);
-            StatRegistry::add(kPoolSteals);
         }
     }
     if (task == nullptr)
@@ -122,7 +114,6 @@ WorkStealingPool::workerLoop(unsigned self)
                 parked)
                 .count());
         idleNs.fetch_add(parked_ns);
-        StatRegistry::add(kPoolIdleNs, parked_ns);
         idleCount.fetch_sub(1);
         if (stopping.load())
             return;
@@ -170,7 +161,6 @@ WorkStealingPool::run(std::vector<std::function<void()>> tasks)
     const unsigned idle = idleCount.load();
     if (idle > 0) {
         wakeups.fetch_add(1);
-        StatRegistry::add(kPoolWakeups);
         {
             // Empty critical section: a worker between its idle
             // increment and its sleep holds sleepMu, so this

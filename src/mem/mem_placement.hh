@@ -142,8 +142,8 @@ class InterleaveMemPlacement final : public MemPlacementPolicy
 
 /**
  * First-touch NUMA placement: a page is pinned to the controller
- * nearest the first core that touches it (the legacy `numaAwareMem`
- * behavior, which this policy absorbs as an alias).
+ * nearest the first core that touches it (the NUMA-aware extension
+ * Sec. III leaves to future work).
  */
 class FirstTouchMemPlacement final : public MemPlacementPolicy
 {

@@ -4,8 +4,8 @@
  * NocRegistry: the `memPlacement=` override (SystemConfig's
  * memPlacement field) names the policy, Platform builds it here, and
  * new policies register a factory instead of patching Platform.
- * "interleave" (the default page hash), "first-touch" (the legacy
- * `numaAwareMem` behavior) and "contention" are pre-registered.
+ * "interleave" (the default page hash), "first-touch" (NUMA-aware
+ * placement) and "contention" are pre-registered.
  */
 
 #ifndef CDCS_MEM_MEM_PLACEMENT_REGISTRY_HH

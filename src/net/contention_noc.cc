@@ -294,7 +294,7 @@ ContentionNoc::routeFarMemResponse(int ctrl, TileId tile,
 }
 
 void
-ContentionNoc::epochUpdate(double elapsed_cycles)
+ContentionNoc::closeEpoch(double elapsed_cycles, bool refresh)
 {
     const double cycles = std::max(elapsed_cycles, 1.0);
     const double service =
@@ -311,17 +311,31 @@ ContentionNoc::epochUpdate(double elapsed_cycles)
         // by the injection-rate knob and clamped below saturation.
         const double rho = std::min(
             maxUtil, injScale * (delta / cycles) * service);
-        // M/D/1 mean waiting time with deterministic service.
-        linkWait[l] = service * rho / (2.0 * (1.0 - rho));
-        linkUtil[l] = rho;
         if (rho >= maxUtil)
             saturated++;
+        if (refresh) {
+            // M/D/1 mean waiting time with deterministic service.
+            linkWait[l] = service * rho / (2.0 * (1.0 - rho));
+            linkUtil[l] = rho;
+        }
     }
     StatRegistry::add(kNocLinkFlits, epoch_flits);
     StatRegistry::add(kNocSaturatedLinks, saturated);
+}
+
+void
+ContentionNoc::epochUpdate(double elapsed_cycles)
+{
+    closeEpoch(elapsed_cycles, true);
     // Waits changed: reflatten the route-wait tables once, so every
     // access-path query until the next epoch stays a table read.
     rebuildWaitTables();
+}
+
+void
+ContentionNoc::finalEpoch(double elapsed_cycles)
+{
+    closeEpoch(elapsed_cycles, false);
 }
 
 void

@@ -77,6 +77,7 @@ class ContentionNoc final : public NocModel
     double walkPathWait(TileId src, TileId dst) const;
 
     void epochUpdate(double elapsed_cycles) override;
+    void finalEpoch(double elapsed_cycles) override;
     void clearTraffic() override;
 
     std::vector<NocLinkStat> linkStats() const override;
@@ -165,6 +166,13 @@ class ContentionNoc final : public NocModel
      * O(tiles^2 + tiles * ctrls) — off the access path.
      */
     void rebuildWaitTables();
+
+    /**
+     * Close an epoch: count each link's flits since the last close
+     * into the `noc.*` stats and, when `refresh`, reprice the link
+     * from them (M/D/1 wait, utilization).
+     */
+    void closeEpoch(double elapsed_cycles, bool refresh);
 
     double injScale;
     double maxUtil;

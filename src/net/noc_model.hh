@@ -246,6 +246,16 @@ class NocModel
         (void)elapsed_cycles;
     }
 
+    /**
+     * End of the run's last epoch, which gets no epochUpdate: count
+     * its loads into the per-epoch stats as epochUpdate would, but
+     * leave the contention state (waits, utilizations) untouched.
+     */
+    virtual void finalEpoch(double elapsed_cycles)
+    {
+        (void)elapsed_cycles;
+    }
+
     /** Reset traffic counters (warmup boundary). */
     virtual void clearTraffic() { flitHops.fill(0); }
 

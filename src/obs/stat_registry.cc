@@ -53,32 +53,6 @@ StatRegistry::counter(const std::string &name)
     return static_cast<StatId>(r.names.size() - 1);
 }
 
-StatRegistry::HistId
-StatRegistry::histogram(const std::string &name, int buckets,
-                        std::uint64_t first_bound)
-{
-    cdcs_assert(buckets >= 2);
-    HistId h;
-    h.buckets = buckets;
-    h.firstBound = first_bound;
-    std::uint64_t bound = first_bound;
-    for (int b = 0; b < buckets; b++) {
-        const std::string slot = b == buckets - 1
-            ? name + ".le_inf"
-            : name + ".le_" + std::to_string(bound);
-        const StatId id = counter(slot);
-        if (b == 0)
-            h.base = id;
-        else
-            // Buckets must be consecutive slots (observe() indexes by
-            // offset). Holds because counter() appends and histogram
-            // registration is one atomic burst per name.
-            cdcs_assert(id == h.base + b);
-        bound *= 2;
-    }
-    return h;
-}
-
 std::size_t
 StatRegistry::numStats()
 {
@@ -147,7 +121,7 @@ StatRegistry::select(const std::string &filter)
 
     const auto matches = [&](const std::string &name) {
         if (all)
-            return true;
+            return name.rfind("time.", 0) != 0;
         for (const auto &p : prefixes) {
             if (name == p)
                 return true;

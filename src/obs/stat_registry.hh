@@ -1,21 +1,22 @@
 /**
  * @file
  * Process-wide hierarchical statistic registry behind the `--set
- * stats=<filter>` study knob. Subsystems register named counters and
- * fixed-bucket histograms once (typically from namespace-scope
- * initializers, so every stat exists before main()), then bump them
- * from hot paths. Counters are sharded per thread like the Profiler's
- * phase timers: the increment is an unsynchronized relaxed add into a
- * thread-local slot array, and collection points fold the shards.
+ * stats=<filter>` study knob and the `--set timing=1` footer.
+ * Subsystems register named per-run counters once (typically from
+ * namespace-scope initializers, so every stat exists before main()),
+ * then bump them from the run's own thread. Counters are sharded per
+ * thread: the increment is a relaxed add into a thread-local slot
+ * array, and collection points fold the shards.
  *
  * Disabled (the default) a bump is a single relaxed atomic load, so
  * instrumented paths pay nothing measurable and stats never influence
  * simulated results — which is why the `stats` knobs stay out of the
  * runner cache key.
  *
- * Names are dot-hierarchical ("noc.link_flits", "pool.steals"); the
- * `stats=` filter selects whole subtrees by comma-separated prefixes,
- * or everything with "1"/"all".
+ * Names are dot-hierarchical ("noc.link_flits", "time.access_ns");
+ * the `stats=` filter selects whole subtrees by comma-separated
+ * prefixes, or with "1"/"all" every counter except the wall-clock
+ * `time.*` subtree (obs/phase_timer.hh).
  */
 
 #ifndef CDCS_OBS_STAT_REGISTRY_HH
@@ -44,15 +45,6 @@ class StatRegistry
      */
     static constexpr std::size_t maxSlots = 128;
 
-    /** A histogram is a run of consecutive counter slots. */
-    struct HistId
-    {
-        StatId base = -1;
-        int buckets = 0;
-        /** Upper bound of the first bucket; doubles per bucket. */
-        std::uint64_t firstBound = 1;
-    };
-
     /** Folded (or per-thread) values of every registered slot. */
     struct Snapshot
     {
@@ -80,16 +72,6 @@ class StatRegistry
      */
     static StatId counter(const std::string &name);
 
-    /**
-     * Register a log2-bucketed histogram: `buckets` consecutive
-     * counter slots named `name.le_<bound>` (last bucket
-     * `name.le_inf`), with bucket upper bounds `first_bound`,
-     * `2*first_bound`, ... Selection by the `name` prefix picks up
-     * every bucket.
-     */
-    static HistId histogram(const std::string &name, int buckets,
-                            std::uint64_t first_bound);
-
     /** Add `n` to `id` in this thread's shard (no-op when disabled). */
     static void
     add(StatId id, std::uint64_t n = 1)
@@ -98,22 +80,6 @@ class StatRegistry
             return;
         local().v[static_cast<std::size_t>(id)].fetch_add(
             n, std::memory_order_relaxed);
-    }
-
-    /** Count `value` into its histogram bucket (no-op when disabled). */
-    static void
-    observe(const HistId &h, std::uint64_t value)
-    {
-        if (!enabled())
-            return;
-        std::uint64_t bound = h.firstBound;
-        int b = 0;
-        while (b < h.buckets - 1 && value > bound) {
-            bound *= 2;
-            b++;
-        }
-        local().v[static_cast<std::size_t>(h.base + b)].fetch_add(
-            1, std::memory_order_relaxed);
     }
 
     /** Number of slots registered so far. */
@@ -136,9 +102,11 @@ class StatRegistry
     /**
      * Resolve a `stats=` filter into slot ids, sorted by name so the
      * exported column order is deterministic. "" and "0" select
-     * nothing; "1", "all", "true", "on" select everything; anything
-     * else is a comma-separated list of names or dot-prefixes
-     * ("noc,pool.steals" matches noc.* and pool.steals exactly).
+     * nothing; "1", "all", "true", "on" select everything but the
+     * `time.*` subtree, whose wall-clock values would make the trace
+     * differ run to run; anything else is a comma-separated list of
+     * names or dot-prefixes ("noc,runtime.reconfigs" matches noc.*
+     * and runtime.reconfigs exactly; "time" selects the timers).
      */
     static std::vector<StatId> select(const std::string &filter);
 

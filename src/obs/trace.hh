@@ -2,12 +2,14 @@
  * @file
  * Execution tracer behind the `--set trace=<file>` study knob
  * (CDCS_TRACE). Emits Chrome trace-event JSON — duration (B/E) spans
- * for ExperimentRunner jobs, profiler phases, and result-store I/O,
- * plus instant events at epoch boundaries — tagged with a stable
- * per-thread track id, loadable in Perfetto or chrome://tracing.
+ * for ExperimentRunner jobs and the phase timers (access, reconfig,
+ * result-store I/O), plus instant events at epoch boundaries — tagged
+ * with a stable per-thread track id, loadable in Perfetto or
+ * chrome://tracing.
  *
  * Events buffer per thread (same never-freed thread-local block
- * pattern as the Profiler) and are serialized once at close(), so
+ * pattern as the StatRegistry shards) and are serialized once at
+ * close(), so
  * tracing perturbs the host only by the clock reads inside each span.
  * Disabled (the default) every hook is a single relaxed atomic load,
  * and no file is ever opened.

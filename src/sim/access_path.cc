@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "common/profile.hh"
 #include "mem/mem_queue.hh"
 #include "obs/stat_registry.hh"
 
@@ -16,19 +15,6 @@ namespace
 /// Memory accesses served by the far tier.
 const StatId kMemFarAccesses =
     StatRegistry::counter("mem.far_accesses");
-
-/**
- * Timing-only wrapper: charge a cluster of NoC latency queries to the
- * NocQuery profiler phase (reported as a share of the access phase it
- * nests inside). A single relaxed atomic load when timing is off.
- */
-template <typename Fn>
-double
-timedNocQuery(Fn &&fn)
-{
-    ProfTimer timer(ProfPhase::NocQuery);
-    return fn();
-}
 
 } // namespace
 
@@ -149,10 +135,8 @@ AccessPath::issueAccess(ThreadId t)
     // links are directed, so the two legs are charged (and priced)
     // separately. Zero-load latency and hop counts are symmetric, so
     // this only redistributes per-link load, never per-class totals.
-    double lat = timedNocQuery([&] {
-        return noc.latency(core, bank_tile, ctrl) +
-            cfg.bankLatency + noc.latency(bank_tile, core, data);
-    });
+    double lat = noc.latency(core, bank_tile, ctrl) + cfg.bankLatency +
+        noc.latency(bank_tile, core, data);
     double onchip = lat - cfg.bankLatency;
     double offchip = 0.0;
     noc.addTraffic(TrafficClass::L2ToLLC, core, bank_tile, ctrl);
@@ -168,9 +152,7 @@ AccessPath::issueAccess(ThreadId t)
         // Demand move (Fig. 10): chase the line in its old bank.
         const TileId old_tile =
             static_cast<TileId>(mr.oldBank / cfg.banksPerTile);
-        const double probe_lat = timedNocQuery([&] {
-            return noc.latency(bank_tile, old_tile, ctrl);
-        });
+        const double probe_lat = noc.latency(bank_tile, old_tile, ctrl);
         lat += probe_lat + cfg.bankLatency;
         onchip += probe_lat;
         noc.addTraffic(TrafficClass::Other, bank_tile, old_tile,
@@ -180,9 +162,8 @@ AccessPath::issueAccess(ThreadId t)
         if (banks[mr.oldBank].extractForMove(sample.line, moved)) {
             // Old bank hit: line + coherence state move to the new
             // bank (Fig. 10a) — the data leg travels old -> new.
-            const double move_lat = timedNocQuery([&] {
-                return noc.latency(old_tile, bank_tile, data);
-            });
+            const double move_lat =
+                noc.latency(old_tile, bank_tile, data);
             lat += move_lat;
             onchip += move_lat;
             noc.addTraffic(TrafficClass::Other, old_tile, bank_tile,
@@ -196,17 +177,13 @@ AccessPath::issueAccess(ThreadId t)
             const MemPlacement mp = memPlaceFor(core, sample.line);
             const int mc = mp.ctrl;
             const bool far = mp.tier == MemTier::Far;
-            const double mem_leg = timedNocQuery([&] {
-                if (far) {
-                    return noc.farMemLatency(old_tile, mc, ctrl) +
-                        cfg.farMemLatency + farQueueDelay +
-                        noc.farMemResponseLatency(mc, bank_tile,
-                                                  data);
-                }
-                return noc.memLatency(old_tile, mc, ctrl) +
-                    cfg.memLatency + queueDelay +
+            const double mem_leg = far
+                ? noc.farMemLatency(old_tile, mc, ctrl) +
+                    cfg.farMemLatency + farQueueDelay +
+                    noc.farMemResponseLatency(mc, bank_tile, data)
+                : noc.memLatency(old_tile, mc, ctrl) + cfg.memLatency +
+                    queueDelay +
                     noc.memResponseLatency(mc, bank_tile, data);
-            });
             lat += mem_leg;
             offchip += mem_leg;
             if (far) {
@@ -234,16 +211,12 @@ AccessPath::issueAccess(ThreadId t)
         const MemPlacement mp = memPlaceFor(core, sample.line);
         const int mc = mp.ctrl;
         const bool far = mp.tier == MemTier::Far;
-        const double mem_leg = timedNocQuery([&] {
-            if (far) {
-                return noc.farMemLatency(bank_tile, mc, ctrl) +
-                    cfg.farMemLatency + farQueueDelay +
-                    noc.farMemResponseLatency(mc, bank_tile, data);
-            }
-            return noc.memLatency(bank_tile, mc, ctrl) +
-                cfg.memLatency + queueDelay +
-                noc.memResponseLatency(mc, bank_tile, data);
-        });
+        const double mem_leg = far
+            ? noc.farMemLatency(bank_tile, mc, ctrl) +
+                cfg.farMemLatency + farQueueDelay +
+                noc.farMemResponseLatency(mc, bank_tile, data)
+            : noc.memLatency(bank_tile, mc, ctrl) + cfg.memLatency +
+                queueDelay + noc.memResponseLatency(mc, bank_tile, data);
         lat += mem_leg;
         offchip += mem_leg;
         if (far) {
@@ -294,8 +267,8 @@ AccessPath::issueAccess(ThreadId t)
             const TileId old_tile = static_cast<TileId>(
                 mr.invalidateBank / cfg.banksPerTile);
             // Flushes write back via the page-interleaved home
-            // controller, even under numaAwareMem (matches the
-            // legacy accounting).
+            // controller, even under first-touch placement (matches
+            // the legacy accounting).
             noc.addMemTraffic(TrafficClass::Other, old_tile,
                               mesh.memCtrlOf(sample.line),
                               data * flushed);

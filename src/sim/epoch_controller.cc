@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <string>
 
-#include "common/profile.hh"
+#include "obs/phase_timer.hh"
 #include "obs/trace.hh"
 
 namespace cdcs
@@ -247,9 +247,8 @@ EpochController::runEpochs()
 
         std::uint64_t issued = 0;
         {
-            // Timing only: the access phase (NoC wait queries nest
-            // inside it and are reported as a share of it).
-            ProfTimer access_timer(ProfPhase::Access);
+            // Timing only: the epoch's access loop.
+            PhaseTimer access_timer(Phase::Access);
             while (issued < cfg.accessesPerThreadEpoch) {
                 const auto n = static_cast<std::uint32_t>(
                     std::min<std::uint64_t>(
@@ -274,19 +273,23 @@ EpochController::runEpochs()
             }
         }
 
-        if (epoch + 1 < cfg.epochs) {
+        const double epoch_mean = path.meanActiveCycles();
+        // Clamped: churn can move the active-thread mean backwards
+        // (the mean is over active threads only).
+        const double noc_elapsed =
+            std::max(0.0, epoch_mean - nocEpochStartMean);
+        if (epoch + 1 == cfg.epochs) {
+            // No refresh after the last epoch, but its link loads
+            // still belong in its metrics-trace row.
+            platform.noc->finalEpoch(noc_elapsed);
+        } else {
             // Timing only: the epoch-boundary runtime (NoC refresh,
             // monitor gathering, the CDCS reconfiguration solve).
-            ProfTimer reconfig_timer(ProfPhase::Reconfig);
+            PhaseTimer reconfig_timer(Phase::Reconfig);
             // Refresh the network model's contention state from this
             // epoch's measured link loads (no-op for zero-load),
             // then let the memory placement policy rebalance pages
             // on the fresh waits (no-op for the static policies).
-            const double epoch_mean = path.meanActiveCycles();
-            // Clamped: churn can move the active-thread mean
-            // backwards (the mean is over active threads only).
-            const double noc_elapsed =
-                std::max(0.0, epoch_mean - nocEpochStartMean);
             platform.noc->epochUpdate(noc_elapsed);
             platform.memPlacement->epochUpdate(*platform.noc,
                                                noc_elapsed);

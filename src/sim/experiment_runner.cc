@@ -7,8 +7,8 @@
 
 #include "common/json.hh"
 #include "common/log.hh"
-#include "common/profile.hh"
 #include "common/stats.hh"
+#include "obs/phase_timer.hh"
 #include "obs/trace.hh"
 
 namespace cdcs
@@ -167,9 +167,7 @@ ExperimentRunner::cacheKey(const SystemConfig &cfg,
     appendF(key, "noc:%s,%.17g,%.17g|", cfg.nocModel.c_str(),
             cfg.nocInjScale, cfg.nocMaxUtil);
     appendF(key, "pcost:%s|", cfg.placementCost.c_str());
-    // The effective policy, so the numaAwareMem alias and an explicit
-    // first-touch share entries.
-    appendF(key, "memp:%s|", cfg.effectiveMemPlacement().c_str());
+    appendF(key, "memp:%s|", cfg.memPlacement.c_str());
     // Far-memory tier (all-defaults keeps a stable section, like
     // traf: below).
     appendF(key, "tier:%.17g,%" PRIu64 ",%d,%.17g,%s|",
@@ -323,7 +321,7 @@ ExperimentRunner::runJob(const Job &job)
         RunResult stored;
         bool found;
         {
-            ProfTimer timer(ProfPhase::CacheIo);
+            PhaseTimer timer(Phase::StoreIo);
             found = resultStore->load(key, &stored);
         }
         if (found) {
@@ -367,7 +365,7 @@ ExperimentRunner::runJob(const Job &job)
         // Write-back to the persistent tier first: the in-memory
         // insert below consumes `key`.
         if (resultStore != nullptr) {
-            ProfTimer timer(ProfPhase::CacheIo);
+            PhaseTimer timer(Phase::StoreIo);
             resultStore->save(key, res);
         }
         {

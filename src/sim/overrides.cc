@@ -142,10 +142,6 @@ const KeyDef configKeys[] = {
          c.memChannels = static_cast<int>(v.i);
      },
      /*min=*/1},
-    {"numaAwareMem", "bool",
-     [](SystemConfig &c, const Override &v) {
-         c.numaAwareMem = v.b;
-     }},
     {"memPlacement", "string",
      [](SystemConfig &c, const Override &v) {
          c.memPlacement = v.value;

@@ -53,8 +53,8 @@ class Platform
     /// Network model (cfg.nocModel via the NocRegistry); owns the
     /// run's traffic counters and any contention state.
     std::unique_ptr<NocModel> noc;
-    /// Page-to-controller placement (cfg.effectiveMemPlacement() via
-    /// the MemPlacementRegistry); owns the page map and any
+    /// Page-to-controller placement (cfg.memPlacement via the
+    /// MemPlacementRegistry); owns the page map and any
     /// per-controller load accounting.
     std::unique_ptr<MemPlacementPolicy> memPlacement;
     /// Capacity-tiering policy (cfg.memTiering via the

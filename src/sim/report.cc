@@ -140,15 +140,11 @@ ReportSink::timing(const std::string &study, const StudyTiming &t)
     const auto pct = [&](double sec) {
         return t.wallSec > 0.0 ? 100.0 * sec / t.wallSec : 0.0;
     };
-    const double noc_share = t.accessSec > 0.0
-        ? 100.0 * t.nocQuerySec / t.accessSec : 0.0;
     printf("[timing: wall %.3f s; access %.3f s (%.1f%%), "
            "reconfig %.3f s (%.1f%%), cache-io %.3f s (%.1f%%); "
-           "noc-query %.3f s (%.1f%% of access); "
            "pool %llu steals, %llu wakeups, idle %.3f s]\n",
            t.wallSec, t.accessSec, pct(t.accessSec), t.reconfigSec,
            pct(t.reconfigSec), t.cacheIoSec, pct(t.cacheIoSec),
-           t.nocQuerySec, noc_share,
            static_cast<unsigned long long>(t.poolSteals),
            static_cast<unsigned long long>(t.poolWakeups),
            t.poolIdleSec);
@@ -492,11 +488,10 @@ JsonReportSink::timing(const std::string &study,
     std::string json = "{";
     appendF(json,
             "\"wallSec\": %.17g, \"accessSec\": %.17g, "
-            "\"nocQuerySec\": %.17g, \"reconfigSec\": %.17g, "
-            "\"cacheIoSec\": %.17g, \"poolSteals\": %llu, "
-            "\"poolWakeups\": %llu, \"poolIdleSec\": %.17g}",
-            t.wallSec, t.accessSec, t.nocQuerySec, t.reconfigSec,
-            t.cacheIoSec,
+            "\"reconfigSec\": %.17g, \"cacheIoSec\": %.17g, "
+            "\"poolSteals\": %llu, \"poolWakeups\": %llu, "
+            "\"poolIdleSec\": %.17g}",
+            t.wallSec, t.accessSec, t.reconfigSec, t.cacheIoSec,
             static_cast<unsigned long long>(t.poolSteals),
             static_cast<unsigned long long>(t.poolWakeups),
             t.poolIdleSec);

@@ -64,16 +64,15 @@ struct NocHeatmap
 NocHeatmap makeNocHeatmap(int width, int height, const RunResult &run);
 
 /**
- * Per-study wall time and phase breakdown, gathered from the phase
- * profiler (`--set timing=1` / CDCS_TIMING). Phase times are summed
- * across worker threads, so their total can exceed the wall time on
- * parallel runs; nocQuerySec nests inside accessSec.
+ * Per-study wall time and phase breakdown, gathered from the
+ * registry's `time.*` counters (`--set timing=1` / CDCS_TIMING).
+ * Phase times are summed across worker threads, so their total can
+ * exceed the wall time on parallel runs.
  */
 struct StudyTiming
 {
     double wallSec = 0.0;
-    double accessSec = 0.0;    ///< The access path (issueAccess).
-    double nocQuerySec = 0.0;  ///< NoC wait queries (inside access).
+    double accessSec = 0.0;    ///< Epoch access loops.
     double reconfigSec = 0.0;  ///< Epoch-boundary runtime reconfig.
     double cacheIoSec = 0.0;   ///< Persistent result-store I/O.
 

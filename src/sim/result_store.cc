@@ -11,7 +11,6 @@
 #include <unistd.h>
 
 #include "common/log.hh"
-#include "obs/stat_registry.hh"
 
 // CMake injects the `git describe` string for this source file only;
 // builds outside a git checkout (or without the definition) degrade
@@ -31,15 +30,6 @@ constexpr std::uint32_t recordMagic = 0x43444352; // "CDCR"
 // access/latency counters, tier promotion/demotion totals, and the
 // NocLinkStat far flag). Older records are rejected.
 constexpr std::uint32_t recordFormat = 4;
-
-// Store traffic stats; the record-size histogram buckets by power of
-// two from 4 KiB.
-const StatId kStoreHits = StatRegistry::counter("store.hits");
-const StatId kStoreMisses = StatRegistry::counter("store.misses");
-const StatId kStoreCorrupt = StatRegistry::counter("store.corrupt");
-const StatId kStoreWrites = StatRegistry::counter("store.writes");
-const StatRegistry::HistId kStoreRecordBytes =
-    StatRegistry::histogram("store.record_bytes", 6, 4096);
 
 std::uint64_t
 fnv1a64(const void *data, std::size_t size, std::uint64_t seed)
@@ -463,14 +453,12 @@ ResultStore::load(const std::string &key, RunResult *out)
     const std::uint64_t hash = keyHash(key);
     std::string blob;
     if (!readFile(recordPath(hash), &blob)) {
-        StatRegistry::add(kStoreMisses);
         std::lock_guard<std::mutex> lock(mu);
         counters.misses++;
         return false;
     }
 
     const auto reject = [&](bool corrupt) {
-        StatRegistry::add(corrupt ? kStoreCorrupt : kStoreMisses);
         std::lock_guard<std::mutex> lock(mu);
         (corrupt ? counters.corrupt : counters.misses)++;
         return false;
@@ -507,7 +495,6 @@ ResultStore::load(const std::string &key, RunResult *out)
         return reject(true);
 
     *out = std::move(res);
-    StatRegistry::add(kStoreHits);
     std::lock_guard<std::mutex> lock(mu);
     counters.hits++;
     return true;
@@ -558,10 +545,6 @@ ResultStore::save(const std::string &key, const RunResult &result)
     }
     ::flock(lockFd, LOCK_UN);
 
-    if (ok) {
-        StatRegistry::add(kStoreWrites);
-        StatRegistry::observe(kStoreRecordBytes, blob.size());
-    }
     std::lock_guard<std::mutex> lock(mu);
     if (ok) {
         counters.writes++;

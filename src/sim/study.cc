@@ -7,7 +7,7 @@
 
 #include "common/json.hh"
 #include "common/log.hh"
-#include "common/profile.hh"
+#include "obs/phase_timer.hh"
 #include "obs/stat_registry.hh"
 #include "obs/trace.hh"
 #include "sim/experiment.hh"
@@ -111,18 +111,18 @@ runStudy(const StudySpec &spec, const Overrides &overrides,
     const ExperimentRunner::CacheStats before = runner.cacheStats();
     const bool timing_on =
         overrides.knob("timing", "CDCS_TIMING", 0) != 0;
-    if (timing_on)
-        Profiler::setEnabled(true);
     // Turn counting on before any run starts; each run resolves its
-    // own `stats=` selection from its config. Left on once enabled (a
-    // later study in the same batch may still be sampling).
-    if (cfg.statsEnabled())
+    // own `stats=` selection from its config, and the phase timers
+    // charge the registry's `time.*` counters. Left on once enabled
+    // (a later study in the same batch may still be sampling).
+    if (timing_on || cfg.statsEnabled())
         StatRegistry::setEnabled(true);
     const WorkStealingPool &pool = runner.taskPool();
     const std::uint64_t steals_before = pool.stealCount();
     const std::uint64_t wakeups_before = pool.wakeupCount();
     const std::uint64_t idle_before = pool.idleNanos();
-    const Profiler::Snapshot prof_before = Profiler::snapshot();
+    const StatRegistry::Snapshot stats_before =
+        StatRegistry::snapshot();
     // lint:allow(wallclock): wall-time footer, reporting-only
     const auto wall_before = std::chrono::steady_clock::now();
     sink.beginStudy(spec);
@@ -182,18 +182,19 @@ runStudy(const StudySpec &spec, const Overrides &overrides,
     if (timing_on) {
         const std::chrono::duration<double> wall = // lint:allow(wallclock)
             std::chrono::steady_clock::now() - wall_before;
-        const Profiler::Snapshot d =
-            Profiler::snapshot().since(prof_before);
+        // Phase times are summed over every worker's shard.
+        const StatRegistry::Snapshot stats_now =
+            StatRegistry::snapshot();
+        const auto phase_sec = [&](Phase phase) {
+            const StatId id = phaseStat(phase);
+            return 1e-9 *
+                static_cast<double>(stats_now[id] - stats_before[id]);
+        };
         StudyTiming t;
         t.wallSec = wall.count();
-        t.accessSec = 1e-9 * static_cast<double>(
-            d[ProfPhase::Access]);
-        t.nocQuerySec = 1e-9 * static_cast<double>(
-            d[ProfPhase::NocQuery]);
-        t.reconfigSec = 1e-9 * static_cast<double>(
-            d[ProfPhase::Reconfig]);
-        t.cacheIoSec = 1e-9 * static_cast<double>(
-            d[ProfPhase::CacheIo]);
+        t.accessSec = phase_sec(Phase::Access);
+        t.reconfigSec = phase_sec(Phase::Reconfig);
+        t.cacheIoSec = phase_sec(Phase::StoreIo);
         t.poolSteals = pool.stealCount() - steals_before;
         t.poolWakeups = pool.wakeupCount() - wakeups_before;
         t.poolIdleSec = 1e-9 * static_cast<double>(
@@ -203,30 +204,6 @@ runStudy(const StudySpec &spec, const Overrides &overrides,
     sink.endStudy(spec);
     sink.flush();
     return 0;
-}
-
-int
-studyMain(const char *name)
-{
-    const StudySpec *spec = StudyRegistry::instance().find(name);
-    if (spec == nullptr) {
-        std::fprintf(stderr, "unknown study '%s'\n", name);
-        return 1;
-    }
-    const Overrides none;
-    ExperimentRunner runner(
-        runnerOptions(none, spec->repeatedLineup));
-    TextReportSink sink(
-        stdout, none.strKnob("jsonDir", "CDCS_JSON_DIR", ""));
-    const std::string trace_path =
-        none.strKnob("trace", "CDCS_TRACE", "");
-    if (!trace_path.empty())
-        Tracer::open(trace_path);
-    int rc = runStudy(*spec, none, runner, sink);
-    sink.finish();
-    if (!Tracer::close())
-        rc |= 1;
-    return rc;
 }
 
 namespace

@@ -143,13 +143,6 @@ runnerOptions(const Overrides &overrides, bool default_cache = false);
 int runStudy(const StudySpec &spec, const Overrides &overrides,
              ExperimentRunner &runner, ReportSink &sink);
 
-/**
- * Body of the thin per-figure executables: run one registered study
- * with env knobs only and text output on stdout — byte-identical to
- * the legacy hand-written harness it replaced.
- */
-int studyMain(const char *name);
-
 /** The `cdcs_studies` CLI (list / run, --set, --format). */
 int studiesCliMain(int argc, char **argv);
 

@@ -131,39 +131,16 @@ struct SystemConfig
     int memChannels = 8;
 
     /**
-     * NUMA-aware memory placement (the extension Sec. III leaves to
-     * future work, cf. the Fig. 11d discussion): pages are served by
-     * the controller nearest their first-touching thread's core
-     * instead of being page-interleaved across all controllers.
-     * Legacy alias for memPlacement = "first-touch".
-     */
-    bool numaAwareMem = false;
-
-    /**
      * Page-to-memory-controller placement policy, by
      * MemPlacementRegistry name: "interleave" (the page hash, the
-     * default), "first-touch" (pin to the first toucher's nearest
-     * controller; what numaAwareMem aliases) or "contention"
-     * (first-touch plus an epoch rebalance that re-pins hot pages
-     * away from saturated controllers, scored on measured NoC route
-     * waits and per-controller queue load).
+     * default), "first-touch" (NUMA-aware placement, the extension
+     * Sec. III leaves to future work, cf. the Fig. 11d discussion:
+     * pin each page to its first toucher's nearest controller) or
+     * "contention" (first-touch plus an epoch rebalance that re-pins
+     * hot pages away from saturated controllers, scored on measured
+     * NoC route waits and per-controller queue load).
      */
     std::string memPlacement = "interleave";
-
-    /**
-     * The policy Platform actually builds. The legacy numaAwareMem
-     * alias asks for first-touch whenever memPlacement is left at
-     * "interleave" (the two flags are contradictory in that
-     * combination, and the alias wins); any other memPlacement value
-     * takes precedence over the alias.
-     */
-    std::string
-    effectiveMemPlacement() const
-    {
-        if (memPlacement == "interleave" && numaAwareMem)
-            return "first-touch";
-        return memPlacement;
-    }
 
     // ---- Far-memory tier (src/mem/mem_tiering.hh). All knobs
     // default to "no far tier": with farMemRatio == 0 no tiering

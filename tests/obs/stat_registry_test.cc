@@ -1,19 +1,23 @@
 /**
  * @file
- * Tests for the stat registry behind `--set stats=`: idempotent
- * registration across translation units, the disabled default
- * recording nothing, per-thread sharding folded by snapshot() while
- * localSnapshot() isolates the calling thread, log2 histogram
- * bucketing, and the `stats=` filter grammar (prefix subtrees, exact
- * names, all/none, name-sorted column order).
+ * Tests for the stat registry behind `--set stats=` and `timing=1`:
+ * idempotent registration across translation units, the disabled
+ * default recording nothing, per-thread sharding folded by snapshot()
+ * while localSnapshot() isolates the calling thread, phase timers
+ * charging their `time.*` counters (nothing while disabled, summed
+ * across threads), and the `stats=` filter grammar (prefix subtrees,
+ * exact names, all/none, name-sorted column order, `time.*` only on
+ * an explicit prefix).
  */
 
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/phase_timer.hh"
 #include "obs/stat_registry.hh"
 
 namespace cdcs
@@ -70,29 +74,51 @@ TEST(StatRegistryTest, LocalSnapshotIsolatesTheCallingThread)
     EXPECT_EQ(StatRegistry::localSnapshot()[id] - before, 7u);
 }
 
-TEST(StatRegistryTest, HistogramBucketsByLog2Bound)
+using namespace std::chrono_literals;
+
+/** Burn a small, measurable amount of wall time. */
+void
+spin(std::chrono::steady_clock::duration d)
 {
-    const auto h = StatRegistry::histogram("test.hist", 4, 10);
-    ASSERT_EQ(h.buckets, 4);
-    EXPECT_EQ(StatRegistry::name(h.base), "test.hist.le_10");
-    EXPECT_EQ(StatRegistry::name(h.base + 1), "test.hist.le_20");
-    EXPECT_EQ(StatRegistry::name(h.base + 2), "test.hist.le_40");
-    EXPECT_EQ(StatRegistry::name(h.base + 3), "test.hist.le_inf");
+    const auto until = std::chrono::steady_clock::now() + d;
+    while (std::chrono::steady_clock::now() < until) {
+    }
+}
 
-    StatRegistry::setEnabled(true);
-    StatRegistry::observe(h, 0);   // le_10
-    StatRegistry::observe(h, 10);  // le_10 (inclusive bound)
-    StatRegistry::observe(h, 11);  // le_20
-    StatRegistry::observe(h, 40);  // le_40
-    StatRegistry::observe(h, 41);  // le_inf (overflow bucket)
-    StatRegistry::observe(h, 1u << 30);
+TEST(PhaseTimerTest, DisabledTimersRecordNothing)
+{
     StatRegistry::setEnabled(false);
+    const auto before = StatRegistry::snapshot();
+    {
+        PhaseTimer timer(Phase::Access);
+        spin(1ms);
+    }
+    const StatId id = phaseStat(Phase::Access);
+    EXPECT_EQ(StatRegistry::snapshot()[id] - before[id], 0u);
+}
 
-    const auto snap = StatRegistry::localSnapshot();
-    EXPECT_EQ(snap[h.base], 2u);
-    EXPECT_EQ(snap[h.base + 1], 1u);
-    EXPECT_EQ(snap[h.base + 2], 1u);
-    EXPECT_EQ(snap[h.base + 3], 2u);
+TEST(PhaseTimerTest, SnapshotSumsTimersOverThreads)
+{
+    const StatId id = phaseStat(Phase::Reconfig);
+    StatRegistry::setEnabled(true);
+    const auto before = StatRegistry::snapshot();
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; t++) {
+        threads.emplace_back([] {
+            PhaseTimer timer(Phase::Reconfig);
+            spin(2ms);
+        });
+    }
+    for (auto &t : threads)
+        t.join();
+    StatRegistry::setEnabled(false);
+    // Four threads each charged >= 2 ms; the sum sees all of them
+    // even though the recording threads have exited.
+    EXPECT_GE(StatRegistry::snapshot()[id] - before[id],
+              4u * 2'000'000u);
+    // Only the timed phase moved.
+    const StatId other = phaseStat(Phase::StoreIo);
+    EXPECT_EQ(StatRegistry::snapshot()[other] - before[other], 0u);
 }
 
 TEST(StatRegistryTest, SelectFilterGrammar)
@@ -105,9 +131,16 @@ TEST(StatRegistryTest, SelectFilterGrammar)
     EXPECT_TRUE(StatRegistry::select("").empty());
     EXPECT_TRUE(StatRegistry::select("0").empty());
 
+    // "all" is every counter but the wall-clock `time.*` timers,
+    // which only an explicit prefix selects.
     const auto all = StatRegistry::select("all");
-    EXPECT_EQ(all.size(), StatRegistry::numStats());
-    EXPECT_EQ(StatRegistry::select("1").size(), all.size());
+    const auto timers = StatRegistry::select("time");
+    ASSERT_EQ(timers.size(), 3u);
+    EXPECT_EQ(StatRegistry::name(timers[0]), "time.access_ns");
+    EXPECT_EQ(all.size() + timers.size(), StatRegistry::numStats());
+    for (StatId id : all)
+        EXPECT_NE(StatRegistry::name(id).rfind("time.", 0), 0u);
+    EXPECT_EQ(StatRegistry::select("1"), all);
 
     // A dot-prefix selects the subtree; an exact name just itself.
     const auto sub = StatRegistry::select("sel.a");

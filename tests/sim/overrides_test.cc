@@ -26,7 +26,7 @@ TEST(OverridesTest, AppliesTypedConfigKeys)
     ASSERT_TRUE(ov.add("meshWidth=16", &err)) << err;
     ASSERT_TRUE(ov.add("bankLines=4096", &err)) << err;
     ASSERT_TRUE(ov.add("monitorSmoothing=0.25", &err)) << err;
-    ASSERT_TRUE(ov.add("numaAwareMem=true", &err)) << err;
+    ASSERT_TRUE(ov.add("memPlacement=first-touch", &err)) << err;
     ASSERT_TRUE(ov.add("epochAccesses=12345", &err)) << err;
     ASSERT_TRUE(ov.add("warmup=1", &err)) << err;
     ASSERT_TRUE(ov.add("seed=99", &err)) << err;
@@ -36,7 +36,7 @@ TEST(OverridesTest, AppliesTypedConfigKeys)
     EXPECT_EQ(cfg.meshWidth, 16);
     EXPECT_EQ(cfg.bankLines, 4096u);
     EXPECT_DOUBLE_EQ(cfg.monitorSmoothing, 0.25);
-    EXPECT_TRUE(cfg.numaAwareMem);
+    EXPECT_EQ(cfg.memPlacement, "first-touch");
     EXPECT_EQ(cfg.accessesPerThreadEpoch, 12345u);
     EXPECT_EQ(cfg.warmupEpochs, 1);
     EXPECT_EQ(cfg.seed, 99u);
@@ -67,7 +67,7 @@ TEST(OverridesTest, RejectsTypeMismatches)
     EXPECT_FALSE(ov.add("meshWidth=abc", &err));
     EXPECT_NE(err.find("meshWidth"), std::string::npos);
     EXPECT_FALSE(ov.add("monitorSmoothing=fast", &err));
-    EXPECT_FALSE(ov.add("numaAwareMem=maybe", &err));
+    EXPECT_FALSE(ov.add("traceIpc=maybe", &err));
     EXPECT_FALSE(ov.add("bankLines=-5", &err));
     EXPECT_FALSE(ov.add("meshWidth=", &err));
     // Whitespace must not smuggle a sign past the uint guard

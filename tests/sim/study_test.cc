@@ -3,11 +3,12 @@
  * Tests for the declarative study API: the registry enumerates every
  * converted harness, runStudy resolves config/knob precedence, text
  * output is deterministic and byte-identical to a hand-written
- * legacy-style rendering of the same experiment (the in-process
- * equivalent of the CI check that diffs `cdcs_studies run fig11`
- * against the legacy binary), and the JSON/CSV sinks produce
- * well-formed summaries.
+ * legacy-style rendering of the same experiment, the JSON/CSV sinks
+ * produce well-formed summaries, and `stats=` metrics traces are a
+ * pure function of the config.
  */
+
+#include <map>
 
 #include <gtest/gtest.h>
 
@@ -434,6 +435,63 @@ TEST(NocStudyTest, ContentionLatencyMonotoneInInjectionScale)
                 << schemes[s].name << " at x" << scale;
         }
         prev = lat;
+    }
+}
+
+/** Text capture that also keeps every exported metrics trace. */
+class MetricsTraceSink : public StringReportSink
+{
+  public:
+    void
+    artifact(const std::string &name, const std::string &json) override
+    {
+        if (name.rfind("metrics_trace_", 0) == 0)
+            traces[name] = json;
+    }
+
+    std::map<std::string, std::string> traces;
+};
+
+std::map<std::string, std::string>
+metricsTraces(const char *filter, unsigned workers)
+{
+    Overrides ov = tinyOverrides();
+    std::string err;
+    if (!ov.add(std::string("stats=") + filter, &err))
+        ADD_FAILURE() << err;
+    const StudySpec *spec =
+        StudyRegistry::instance().find("noc_sensitivity");
+    if (spec == nullptr)
+        return {};
+    ExperimentRunner::Options opts;
+    opts.workers = workers;
+    ExperimentRunner runner(opts);
+    MetricsTraceSink sink;
+    runStudy(*spec, ov, runner, sink);
+    return sink.traces;
+}
+
+TEST(ObsStudyTest, StatsTracesArePureFunctionsOfTheConfig)
+{
+    // stats=1 samples every per-run counter but no wall-clock timer,
+    // so a contention study's traces cannot depend on the host or on
+    // how the sweep was spread over workers.
+    const auto serial = metricsTraces("1", 1);
+    const auto parallel = metricsTraces("1", 4);
+    ASSERT_FALSE(serial.empty());
+    EXPECT_EQ(serial, parallel);
+    for (const auto &[name, json] : serial) {
+        EXPECT_NE(json.find("\"noc.link_flits\""), std::string::npos)
+            << name;
+        EXPECT_EQ(json.find("\"time."), std::string::npos) << name;
+    }
+
+    // The timers are there for the asking.
+    const auto timed = metricsTraces("time", 1);
+    ASSERT_EQ(timed.size(), serial.size());
+    for (const auto &[name, json] : timed) {
+        EXPECT_NE(json.find("\"time.access_ns\""), std::string::npos)
+            << name;
     }
 }
 

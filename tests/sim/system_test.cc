@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/stat_registry.hh"
 #include "sim/experiment.hh"
 
 namespace cdcs
@@ -24,6 +25,35 @@ smallConfig()
     cfg.epochs = 4;
     cfg.warmupEpochs = 1;
     return cfg;
+}
+
+TEST(SystemTest, MetricsTraceCountsTheFinalEpochsNocFlits)
+{
+    // Link flits are counted as each epoch closes. The last epoch
+    // gets no contention refresh, but its flits still belong in its
+    // row, so the measured rows add up to the run's link totals.
+    SystemConfig cfg = smallConfig();
+    cfg.nocModel = "contention";
+    cfg.statsFilter = "noc.link_flits";
+    StatRegistry::setEnabled(true);
+    const RunResult res =
+        runScheme(cfg, SchemeSpec::cdcs(), MixSpec::cpu(4, 11));
+    StatRegistry::setEnabled(false);
+
+    ASSERT_EQ(res.statNames.size(), 1u);
+    ASSERT_EQ(res.epochTrace.size(),
+              static_cast<std::size_t>(cfg.epochs));
+    std::uint64_t measured = 0;
+    for (int e = cfg.warmupEpochs; e < cfg.epochs; e++) {
+        ASSERT_EQ(res.epochTrace[e].stats.size(), 1u);
+        measured += res.epochTrace[e].stats[0];
+    }
+    std::uint64_t link_flits = 0;
+    for (const NocLinkStat &link : res.nocLinks)
+        link_flits += link.flits;
+    EXPECT_GT(res.epochTrace.back().stats[0], 0u);
+    EXPECT_GT(link_flits, 0u);
+    EXPECT_EQ(measured, link_flits);
 }
 
 TEST(SystemTest, SnucaRunProducesSaneNumbers)

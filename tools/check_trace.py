@@ -14,8 +14,10 @@ kind from its JSON shape:
 * **Metrics trace** (``metrics_trace_*.json`` artifacts, schema
   ``cdcs-metrics-trace-v1``, exported when ``--set stats=`` selects
   registry counters): the per-epoch record stream is checked for
-  contiguous epochs, non-negative metrics, and stats rows matching
-  the declared column names in length.
+  contiguous epochs, non-negative metrics, stats rows matching the
+  declared column names in length, and (when ``noc.link_flits`` is a
+  column) a nonzero last sampled epoch whenever an earlier one
+  carried NoC traffic: the final epoch's flits must not go uncounted.
 
 No third-party imports, so CI can run it anywhere.
 
@@ -48,7 +50,7 @@ def check_metrics_trace(path, doc):
     trace = doc["trace"]
     if not isinstance(trace, list):
         fail(path, "'trace' must be a list of epoch records")
-    sampled = 0
+    sampled = []
     for i, rec in enumerate(trace):
         missing = RECORD_KEYS - rec.keys()
         if missing:
@@ -67,12 +69,21 @@ def check_metrics_trace(path, doc):
                 )
             if any(v < 0 for v in rec["stats"]):
                 fail(path, f"record {i} has a negative stat value")
-            sampled += 1
-    if names and trace and sampled == 0:
+            sampled.append(rec["stats"])
+    if names and trace and not sampled:
         fail(path, "declares stat columns but samples no epoch")
+    if "noc.link_flits" in names:
+        col = names.index("noc.link_flits")
+        flits = [row[col] for row in sampled]
+        if any(flits[:-1]) and flits[-1] == 0:
+            fail(
+                path,
+                "last sampled epoch has 0 noc.link_flits after "
+                "earlier epochs carried traffic",
+            )
     return (
         f"metrics trace: scheme {doc['scheme']}, {len(trace)} epochs, "
-        f"{sampled} sampled, {len(names)} stat columns"
+        f"{len(sampled)} sampled, {len(names)} stat columns"
     )
 
 
