@@ -23,7 +23,7 @@ D2ChoiceMemPlacement::controllerFor(TileId core, LineAddr line)
 {
     (void)core;
     const std::uint64_t page = line >> pageLineShift;
-    const auto [it, inserted] = pageCtrl.try_emplace(page, 0);
+    const auto [pin, inserted] = pageCtrl.tryEmplace(page);
     if (inserted) {
         // Two independent hash candidates; pin to the lighter one.
         // The first is the interleave hash, so with balanced load the
@@ -36,12 +36,12 @@ D2ChoiceMemPlacement::controllerFor(TileId core, LineAddr line)
             const auto i = static_cast<std::size_t>(c);
             return ctrlLoad[i] + static_cast<double>(epochAccesses[i]);
         };
-        it->second = load(c2) < load(c1) ? c2 : c1;
+        *pin = load(c2) < load(c1) ? c2 : c1;
     }
-    const auto c = static_cast<std::size_t>(it->second);
+    const auto c = static_cast<std::size_t>(*pin);
     epochAccesses[c]++;
     totalAccesses[c]++;
-    return it->second;
+    return *pin;
 }
 
 void
@@ -68,6 +68,7 @@ ContentionMemPlacement::ContentionMemPlacement(
     cfg.smoothing = std::clamp(cfg.smoothing, 0.05, 1.0);
     const auto ctrls =
         static_cast<std::size_t>(mesh.numMemCtrls());
+    cdcs_assert(ctrls <= UINT16_MAX, "page records hold 16-bit controllers");
     ctrlLoad.assign(ctrls, 0.0);
     epochAccesses.assign(ctrls, 0);
     totalAccesses.assign(ctrls, 0);
@@ -76,11 +77,13 @@ ContentionMemPlacement::ContentionMemPlacement(
 int
 ContentionMemPlacement::controllerFor(TileId core, LineAddr line)
 {
-    const std::uint64_t page = line >> pageLineShift;
-    const auto [it, inserted] = pages.try_emplace(page);
-    PageInfo &info = it->second;
-    if (inserted)
-        info.ctrl = topo.nearestMemCtrl(core);
+    const auto [slot, inserted] =
+        pages.tryEmplace(line >> pageLineShift);
+    PageInfo &info = *slot;
+    if (inserted) {
+        info.ctrl =
+            static_cast<std::uint16_t>(topo.nearestMemCtrl(core));
+    }
     info.lastCore = core;
     info.epochAccesses++;
     const auto c = static_cast<std::size_t>(info.ctrl);
@@ -108,26 +111,26 @@ ContentionMemPlacement::epochUpdate(NocModel &noc,
     seeded = true;
 
     const double mean = total / static_cast<double>(ctrls);
+    const auto reset_epoch = [](std::uint64_t, PageInfo &info) {
+        info.epochAccesses = 0;
+    };
     if (mean <= 0.0) {
-        // lint:allow(unordered-iter): order-independent reset
-        for (auto &[page, info] : pages)
-            info.epochAccesses = 0;
+        pages.forEach(reset_epoch);
         return;
     }
 
     // Hottest pages currently pinned to an overloaded controller,
-    // hottest first; page id breaks ties so the rebalance is
-    // deterministic regardless of hash-map iteration order.
+    // hottest first; page id breaks ties so the rebalance never
+    // depends on the page map's slot order.
     const double overload = cfg.overloadFactor * mean;
     std::vector<std::pair<std::uint64_t, PageInfo *>> hot;
-    // lint:allow(unordered-iter): result sorted below, page-id ties
-    for (auto &[page, info] : pages) {
+    pages.forEach([&](std::uint64_t page, PageInfo &info) {
         if (info.epochAccesses > 0 &&
-            ctrlLoad[static_cast<std::size_t>(info.ctrl)] > overload &&
+            ctrlLoad[info.ctrl] > overload &&
             (info.lastMoveEpoch < 0 ||
              epochCount - info.lastMoveEpoch >= cfg.cooldownEpochs))
             hot.push_back({page, &info});
-    }
+    });
     std::sort(hot.begin(), hot.end(),
               [](const auto &a, const auto &b) {
                   if (a.second->epochAccesses !=
@@ -210,20 +213,18 @@ ContentionMemPlacement::epochUpdate(NocModel &noc,
         // the vacated controller's scored load negative.
         const double load =
             alpha * static_cast<double>(info->epochAccesses);
-        auto &src_load = ctrlLoad[static_cast<std::size_t>(info->ctrl)];
+        auto &src_load = ctrlLoad[info->ctrl];
         src_load = std::max(0.0, src_load - load);
         ctrlLoad[static_cast<std::size_t>(best)] += load;
 
         recordPageMigration(noc, topo, info->ctrl, MemTier::Near,
                             best, MemTier::Near, migrated);
-        info->ctrl = best;
+        info->ctrl = static_cast<std::uint16_t>(best);
         info->lastMoveEpoch = epochCount;
     }
 
     epochCount++;
-    // lint:allow(unordered-iter): order-independent reset
-    for (auto &[page, info] : pages)
-        info.epochAccesses = 0;
+    pages.forEach(reset_epoch);
 }
 
 } // namespace cdcs

@@ -26,9 +26,9 @@
 #define CDCS_MEM_MEM_PLACEMENT_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/page_map.hh"
 #include "common/types.hh"
 #include "mem/mem_tier.hh"
 #include "mem/mem_tiering.hh"
@@ -155,15 +155,16 @@ class FirstTouchMemPlacement final : public MemPlacementPolicy
     int
     controllerFor(TileId core, LineAddr line) override
     {
-        const std::uint64_t page = line >> pageLineShift;
-        const auto [it, inserted] =
-            pageCtrl.try_emplace(page, topo.nearestMemCtrl(core));
-        return it->second;
+        const auto [ctrl, inserted] =
+            pageCtrl.tryEmplace(line >> pageLineShift);
+        if (inserted)
+            *ctrl = topo.nearestMemCtrl(core);
+        return *ctrl;
     }
 
   private:
     /** First-touch page-to-controller map. */
-    std::unordered_map<std::uint64_t, int> pageCtrl;
+    PageMap<int> pageCtrl;
 };
 
 /**
@@ -193,7 +194,7 @@ class D2ChoiceMemPlacement final : public MemPlacementPolicy
   private:
     double smoothing;
     /** First-touch page-to-controller pins. */
-    std::unordered_map<std::uint64_t, int> pageCtrl;
+    PageMap<int> pageCtrl;
     /** EWMA-blended accesses/epoch per controller. */
     std::vector<double> ctrlLoad;
     /** Accesses per controller this epoch. */
@@ -280,19 +281,22 @@ class ContentionMemPlacement final : public MemPlacementPolicy
     }
 
   private:
+    /** Per-page record, packed to 12 B (one per touched page). */
     struct PageInfo
     {
-        int ctrl = 0;
-        /** Most recent accessor this epoch (the distance anchor). */
-        TileId lastCore = 0;
         /** Accesses this epoch (cleared at each rebalance). */
         std::uint32_t epochAccesses = 0;
         /** Epoch (rebalance count) of the last migration, or -1. */
-        int lastMoveEpoch = -1;
+        std::int32_t lastMoveEpoch = -1;
+        /** Most recent accessor this epoch (the distance anchor). */
+        TileId lastCore = 0;
+        /** Controller the page is pinned to. */
+        std::uint16_t ctrl = 0;
     };
+    static_assert(sizeof(PageInfo) == 12);
 
     ContentionMemPlacementParams cfg;
-    std::unordered_map<std::uint64_t, PageInfo> pages;
+    PageMap<PageInfo> pages;
     /** EWMA-blended accesses/epoch per controller (scored loads). */
     std::vector<double> ctrlLoad;
     /** Accesses per controller this epoch. */

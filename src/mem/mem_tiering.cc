@@ -18,14 +18,16 @@ HotnessTieringPolicy::HotnessTieringPolicy(
     const Mesh &mesh, const MemTieringParams &params)
     : MemTieringPolicy(mesh, params)
 {
+    cdcs_assert(mesh.numMemCtrls() <= UINT16_MAX,
+                "page records hold 16-bit controllers");
 }
 
 MemTier
 HotnessTieringPolicy::onAccess(LineAddr line, int ctrl)
 {
     const std::uint64_t page = line >> pageLineShift;
-    auto [it, inserted] = pages.try_emplace(page);
-    PageInfo &info = it->second;
+    const auto [slot, inserted] = pages.tryEmplace(page);
+    PageInfo &info = *slot;
     if (inserted) {
         // Seed from the same hash split as the static policy: both
         // arms of the tiering study start from identical residency
@@ -35,7 +37,7 @@ HotnessTieringPolicy::onAccess(LineAddr line, int ctrl)
             farPages++;
     }
     info.epochAccesses++;
-    info.lastCtrl = ctrl;
+    info.lastCtrl = static_cast<std::uint16_t>(ctrl);
     return info.tier;
 }
 
@@ -57,9 +59,8 @@ HotnessTieringPolicy::epochUpdate(NocModel &noc,
 
     const double alpha = seeded ? cfg.smoothing : 1.0;
     // Candidates are sorted below with a page-id tiebreak before any
-    // order-sensitive use.
-    // lint:allow(unordered-iter): result sorted below, page-id ties
-    for (auto &[page, info] : pages) {
+    // order-sensitive use, so the page map's slot order never shows.
+    pages.forEach([&](std::uint64_t page, PageInfo &info) {
         info.hotness =
             alpha * static_cast<double>(info.epochAccesses) +
             (1.0 - alpha) * info.hotness;
@@ -74,14 +75,14 @@ HotnessTieringPolicy::epochUpdate(NocModel &noc,
             info.lastMoveEpoch < 0 ||
             epochCount - info.lastMoveEpoch > cfg.cooldownEpochs;
         if (!cooled)
-            continue;
+            return;
         if (info.tier == MemTier::Far) {
             if (reused)
                 far_hot.push_back({page, info.hotness, &info});
         } else {
             near_cold.push_back({page, info.hotness, &info});
         }
-    }
+    });
     seeded = true;
     if (far_hot.empty() || near_cold.empty())
         return;

@@ -31,9 +31,9 @@
 #define CDCS_MEM_MEM_TIERING_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/page_map.hh"
 #include "common/types.hh"
 #include "mem/mem_tier.hh"
 #include "mesh/mesh.hh"
@@ -162,11 +162,12 @@ class StaticTieringPolicy final : public MemTieringPolicy
     {
         (void)ctrl;
         const std::uint64_t page = line >> pageLineShift;
-        const auto [it, inserted] =
-            pages.try_emplace(page, farBySplit(page));
-        if (it->second)
-            farPages += inserted ? 1 : 0;
-        return it->second ? MemTier::Far : MemTier::Near;
+        const auto [tier, inserted] = pages.tryEmplace(page);
+        if (inserted) {
+            *tier = farBySplit(page) ? MemTier::Far : MemTier::Near;
+            farPages += *tier == MemTier::Far ? 1 : 0;
+        }
+        return *tier;
     }
 
     std::uint64_t farResidentPages() const override
@@ -180,8 +181,8 @@ class StaticTieringPolicy final : public MemTieringPolicy
     }
 
   private:
-    /** page -> resident far (tracked only for the occupancy stats). */
-    std::unordered_map<std::uint64_t, bool> pages;
+    /** page -> tier (tracked only for the occupancy stats). */
+    PageMap<MemTier> pages;
     std::uint64_t farPages = 0;
 };
 
@@ -228,22 +229,24 @@ class HotnessTieringPolicy final : public MemTieringPolicy
     }
 
   private:
+    /** Per-page record, packed to 24 B (one per touched page). */
     struct PageInfo
     {
-        MemTier tier = MemTier::Near;
         /** EWMA-blended accesses/epoch (the scored hotness). */
         double hotness = 0.0;
         /** Accesses this epoch (cleared at each epochUpdate). */
         std::uint32_t epochAccesses = 0;
         /** Accesses in the previous epoch (the reuse filter). */
         std::uint32_t prevEpochAccesses = 0;
-        /** Controller fronting the page at its last access. */
-        int lastCtrl = 0;
         /** Epoch (update count) of the last tier move, or -1. */
-        int lastMoveEpoch = -1;
+        std::int32_t lastMoveEpoch = -1;
+        /** Controller fronting the page at its last access. */
+        std::uint16_t lastCtrl = 0;
+        MemTier tier = MemTier::Near;
     };
+    static_assert(sizeof(PageInfo) == 24);
 
-    std::unordered_map<std::uint64_t, PageInfo> pages;
+    PageMap<PageInfo> pages;
     std::uint64_t farPages = 0;
     std::uint64_t migrated = 0;
     std::uint64_t promoted = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 
 #include "common/log.hh"
 
@@ -80,6 +81,26 @@ Mesh::Mesh(int width, int height, NocConfig cfg, int num_mem_ctrls)
         take_edge_tile(px, height - 1, /*vary_x=*/true);  // bottom
         take_edge_tile(0, py, /*vary_x=*/false);          // left
         take_edge_tile(width - 1, py, /*vary_x=*/false);  // right
+    }
+
+    // Hop tables. Every route query (per-message latency and flit-hop
+    // accounting) reads these instead of re-deriving coordinates.
+    // TileId is 16 bits, so no X-Y distance overflows a uint16_t.
+    const auto tiles = static_cast<std::size_t>(numTiles());
+    hopTbl.resize(tiles * tiles);
+    ctrlHopTbl.resize(tiles * memCtrlTiles.size());
+    for (TileId a = 0; a < numTiles(); a++) {
+        const MeshCoord ca = coordOf(a);
+        for (TileId b = 0; b < numTiles(); b++) {
+            const MeshCoord cb = coordOf(b);
+            hopTbl[a * tiles + b] = static_cast<std::uint16_t>(
+                std::abs(ca.x - cb.x) + std::abs(ca.y - cb.y));
+        }
+        for (std::size_t c = 0; c < memCtrlTiles.size(); c++) {
+            ctrlHopTbl[a * memCtrlTiles.size() + c] =
+                static_cast<std::uint16_t>(
+                    hops(a, memCtrlTiles[c]) + 1);
+        }
     }
 
     // Precompute distance-sorted tile lists for every origin.

@@ -16,7 +16,6 @@
 #define CDCS_MESH_MESH_HH
 
 #include <cstdint>
-#include <cstdlib>
 #include <vector>
 
 #include "common/log.hh"
@@ -65,7 +64,8 @@ struct NocConfig
  * A width x height mesh of tiles with memory controllers attached to
  * edge tiles (two per side, like the target CMP in Fig. 3).
  *
- * All queries are const and cheap (distances are precomputed).
+ * All queries are const and cheap: hop counts to tiles and to
+ * controllers are tables built by the constructor.
  */
 class Mesh
 {
@@ -101,13 +101,13 @@ class Mesh
         return static_cast<TileId>(y * meshWidth + x);
     }
 
-    /** X-Y routing hop count between two tiles. */
+    /** X-Y routing hop count between two tiles (table read). */
     int
     hops(TileId a, TileId b) const
     {
-        const MeshCoord ca = coordOf(a);
-        const MeshCoord cb = coordOf(b);
-        return std::abs(ca.x - cb.x) + std::abs(ca.y - cb.y);
+        return hopTbl[static_cast<std::size_t>(a) *
+                          static_cast<std::size_t>(numTiles()) +
+                      b];
     }
 
     /** Fractional distance between a tile and an (x, y) point. */
@@ -146,8 +146,9 @@ class Mesh
     int
     hopsToCtrl(TileId tile, int ctrl) const
     {
-        return hops(tile, memCtrlTiles[static_cast<std::size_t>(ctrl)])
-            + 1;
+        return ctrlHopTbl[static_cast<std::size_t>(tile) *
+                              memCtrlTiles.size() +
+                          static_cast<std::size_t>(ctrl)];
     }
 
     /** Zero-load latency of a message traversing h hops. */
@@ -185,6 +186,11 @@ class Mesh
     int meshHeight;
     NocConfig nocConfig;
     std::vector<TileId> memCtrlTiles;
+    /// Hop counts, [a * tiles + b]: the per-message queries never
+    /// divide by the mesh width.
+    std::vector<std::uint16_t> hopTbl;
+    /// hopsToCtrl, [tile * ctrls + ctrl] (attach hop included).
+    std::vector<std::uint16_t> ctrlHopTbl;
     /// tilesByDistance cache, indexed by origin tile.
     std::vector<std::vector<TileId>> sortedTiles;
     /// Prefix-averaged distances from chip center (index = #banks).

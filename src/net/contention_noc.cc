@@ -34,6 +34,9 @@ ContentionNoc::ContentionNoc(const Mesh &mesh, double inj_scale,
     const std::size_t links = attachBase +
         static_cast<std::size_t>(mesh.numMemCtrls()) *
             (farLinks ? 2 : 1);
+    pairFlits.assign(static_cast<std::size_t>(mesh.numTiles()) *
+                         static_cast<std::size_t>(mesh.numTiles()),
+                     0);
     linkFlits.assign(links, 0);
     prevFlits.assign(links, 0);
     linkWait.assign(links, 0.0);
@@ -246,8 +249,9 @@ ContentionNoc::farMemResponseLatency(int ctrl, TileId tile,
 void
 ContentionNoc::routeMsg(TileId src, TileId dst, std::uint32_t flits)
 {
-    walkRoute(src, dst,
-              [&](std::size_t link) { linkFlits[link] += flits; });
+    pairFlits[static_cast<std::size_t>(src) *
+                  static_cast<std::size_t>(topo.numTiles()) +
+              dst] += flits;
 }
 
 void
@@ -294,8 +298,24 @@ ContentionNoc::routeFarMemResponse(int ctrl, TileId tile,
 }
 
 void
+ContentionNoc::foldPairs(std::vector<std::uint64_t> &flits) const
+{
+    const auto tiles = static_cast<std::size_t>(topo.numTiles());
+    for (std::size_t p = 0; p < pairFlits.size(); p++) {
+        const std::uint64_t f = pairFlits[p];
+        if (f == 0)
+            continue;
+        walkRoute(static_cast<TileId>(p / tiles),
+                  static_cast<TileId>(p % tiles),
+                  [&](std::size_t link) { flits[link] += f; });
+    }
+}
+
+void
 ContentionNoc::closeEpoch(double elapsed_cycles, bool refresh)
 {
+    foldPairs(linkFlits);
+    std::fill(pairFlits.begin(), pairFlits.end(), 0);
     const double cycles = std::max(elapsed_cycles, 1.0);
     const double service =
         static_cast<double>(topo.config().linkCycles);
@@ -345,6 +365,7 @@ ContentionNoc::clearTraffic()
     // Reset the counters but keep the wait/utilization tables: at the
     // warmup boundary the contention estimate from the last warmup
     // epoch is the best predictor for the first measured epoch.
+    std::fill(pairFlits.begin(), pairFlits.end(), 0);
     std::fill(linkFlits.begin(), linkFlits.end(), 0);
     std::fill(prevFlits.begin(), prevFlits.end(), 0);
 }
@@ -352,8 +373,13 @@ ContentionNoc::clearTraffic()
 std::vector<NocLinkStat>
 ContentionNoc::linkStats() const
 {
+    // Pending pairs count as traffic: fold them into a copy, so a
+    // mid-epoch snapshot matches per-message accounting and the
+    // epoch state stays untouched.
+    std::vector<std::uint64_t> flits = linkFlits;
+    foldPairs(flits);
     std::vector<NocLinkStat> out;
-    out.reserve(linkFlits.size());
+    out.reserve(flits.size());
     const int w = topo.width();
     const int h = topo.height();
     for (TileId t = 0; t < topo.numTiles(); t++) {
@@ -369,7 +395,7 @@ ContentionNoc::linkStats() const
             stat.src = t;
             stat.dst = topo.tileAt(nx[dir], ny[dir]);
             const std::size_t link = meshLink(t, dir);
-            stat.flits = linkFlits[link];
+            stat.flits = flits[link];
             stat.util = linkUtil[link];
             stat.waitCycles = linkWait[link];
             out.push_back(stat);
@@ -381,7 +407,7 @@ ContentionNoc::linkStats() const
         stat.dst = invalidTile;
         stat.memCtrl = ctrl;
         const std::size_t link = attachLink(ctrl);
-        stat.flits = linkFlits[link];
+        stat.flits = flits[link];
         stat.util = linkUtil[link];
         stat.waitCycles = linkWait[link];
         out.push_back(stat);
@@ -394,7 +420,7 @@ ContentionNoc::linkStats() const
             stat.memCtrl = ctrl;
             stat.far = true;
             const std::size_t link = farAttachLink(ctrl);
-            stat.flits = linkFlits[link];
+            stat.flits = flits[link];
             stat.util = linkUtil[link];
             stat.waitCycles = linkWait[link];
             out.push_back(stat);

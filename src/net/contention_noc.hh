@@ -6,6 +6,14 @@
  * is charged per link from an M/D/1-style waiting time computed at
  * each epoch boundary from the previous epoch's measured link loads.
  *
+ * Accounting a message never walks its route either: a mesh leg adds
+ * its flits to a tiles x tiles (source, destination) pair matrix, and
+ * each epoch close folds every nonzero pair onto its route's links
+ * with one walk. Link counts are integer sums, so folding late gives
+ * exactly the counts a per-message walk would; linkStats() folds the
+ * pending pairs into its own copy, so a mid-epoch snapshot sees them
+ * too.
+ *
  * The access path never simulates events: a latency query is the
  * zero-load latency plus a route-wait lookup. Since link waits only
  * change at epochUpdate, the per-route wait sums are flattened there
@@ -167,10 +175,14 @@ class ContentionNoc final : public NocModel
      */
     void rebuildWaitTables();
 
+    /** Add every pending pair's flits along its X-Y route. */
+    void foldPairs(std::vector<std::uint64_t> &flits) const;
+
     /**
-     * Close an epoch: count each link's flits since the last close
-     * into the `noc.*` stats and, when `refresh`, reprice the link
-     * from them (M/D/1 wait, utilization).
+     * Close an epoch: fold the pending pairs into linkFlits, count
+     * each link's flits since the last close into the `noc.*` stats
+     * and, when `refresh`, reprice the link from them (M/D/1 wait,
+     * utilization).
      */
     void closeEpoch(double elapsed_cycles, bool refresh);
 
@@ -179,8 +191,11 @@ class ContentionNoc final : public NocModel
     bool farLinks;           ///< Far attach links materialized.
     std::size_t attachBase;  ///< First attach-link index.
 
+    /** Mesh-leg flits not yet folded, [src * tiles + dst]. */
+    std::vector<std::uint64_t> pairFlits;
+
     // Per-link state, indexed by link id.
-    std::vector<std::uint64_t> linkFlits;  ///< Since clearTraffic.
+    std::vector<std::uint64_t> linkFlits;  ///< Folded, since clearTraffic.
     std::vector<std::uint64_t> prevFlits;  ///< At last epochUpdate.
     std::vector<double> linkWait;          ///< Cycles per traversal.
     std::vector<double> linkUtil;          ///< Last measured (scaled).

@@ -15,8 +15,8 @@ RNucaPolicy::map(ThreadId /*thread*/, TileId core, VcId /*vc*/,
 {
     MapResult res;
     const std::uint64_t page = pageOf(line);
-    auto [it, inserted] = pageTable.try_emplace(page);
-    PageInfo &info = it->second;
+    const auto [slot, inserted] = pageTable.tryEmplace(page);
+    PageInfo &info = *slot;
     if (inserted) {
         // First touch: classify private to this core.
         info.cls = PageClass::Private;
@@ -70,8 +70,8 @@ RNucaPolicy::rotationalBank(TileId core, LineAddr line) const
 PageClass
 RNucaPolicy::classOf(LineAddr line) const
 {
-    const auto it = pageTable.find(pageOf(line));
-    return it == pageTable.end() ? PageClass::Private : it->second.cls;
+    const PageInfo *info = pageTable.find(pageOf(line));
+    return info == nullptr ? PageClass::Private : info->cls;
 }
 
 } // namespace cdcs

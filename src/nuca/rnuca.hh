@@ -18,8 +18,7 @@
 #ifndef CDCS_NUCA_RNUCA_HH
 #define CDCS_NUCA_RNUCA_HH
 
-#include <unordered_map>
-
+#include "common/page_map.hh"
 #include "nuca/policy.hh"
 
 namespace cdcs
@@ -69,7 +68,7 @@ class RNucaPolicy : public NucaPolicy
     const Mesh *mesh;
     int banksPerTile;
     std::uint64_t hashSeed;
-    std::unordered_map<std::uint64_t, PageInfo> pageTable;
+    PageMap<PageInfo> pageTable;
 
     std::uint64_t
     pageOf(LineAddr line) const

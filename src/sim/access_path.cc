@@ -15,6 +15,14 @@ namespace
 /// Memory accesses served by the far tier.
 const StatId kMemFarAccesses =
     StatRegistry::counter("mem.far_accesses");
+/// Chunks whose near/far memory-queue utilization hit the M/D/m
+/// model's 0.95 clamp: the queue delay charged there is a floor.
+const StatId kMemQueueClampedChunks =
+    StatRegistry::counter("mem.queue_clamped_chunks");
+const StatId kMemFarQueueClampedChunks =
+    StatRegistry::counter("mem.far_queue_clamped_chunks");
+/// Utilization clamp of both memory queues.
+constexpr double kMemMaxUtil = 0.95;
 
 } // namespace
 
@@ -67,14 +75,18 @@ AccessPath::endChunk(double before, double after)
         return;
     const double dt = std::max(after - before, 1.0);
     const double rho = std::min(
-        0.95, (static_cast<double>(chunkMisses) / dt) /
+        kMemMaxUtil, (static_cast<double>(chunkMisses) / dt) /
             cfg.memLinesPerCycle);
+    if (rho >= kMemMaxUtil)
+        StatRegistry::add(kMemQueueClampedChunks);
     queueDelay = memQueueWait(rho, cfg.memChannels,
                               cfg.memLinesPerCycle);
     if (cfg.hasFarTier()) {
         const double far_rho = std::min(
-            0.95, (static_cast<double>(chunkFarMisses) / dt) /
+            kMemMaxUtil, (static_cast<double>(chunkFarMisses) / dt) /
                 cfg.farMemLinesPerCycle);
+        if (far_rho >= kMemMaxUtil)
+            StatRegistry::add(kMemFarQueueClampedChunks);
         farQueueDelay = memQueueWait(far_rho, cfg.farMemChannels,
                                      cfg.farMemLinesPerCycle);
     }

@@ -5,8 +5,9 @@
  * two-level placementFor, the no-far-tier off state matching the
  * default run byte-for-byte, the DRAM-row migration throttle, the
  * hotness policy's hysteresis/cooldown/budget determinism, per-tier
- * M/D/m queue isolation, and serial-vs-parallel sweep identity for a
- * tiering configuration.
+ * M/D/m queue isolation, serial-vs-parallel sweep identity for a
+ * tiering configuration, and first-touch-order independence of the
+ * page-table-driven epoch decisions.
  */
 
 #include <gtest/gtest.h>
@@ -592,6 +593,106 @@ TEST(MemTieringTest, TieringSweepSerialParallelIdentical)
         for (std::size_t m = 0; m < a.ws[s].size(); m++)
             EXPECT_EQ(a.ws[s][m], b.ws[s][m]);
     }
+}
+
+/**
+ * 1280 pages in runs of adjacent pages, in ascending order or in a
+ * seeded shuffle. First-touching them in the two orders leaves the
+ * same pages in different page-table slots.
+ */
+std::vector<std::uint64_t>
+touchOrder(bool shuffled)
+{
+    std::vector<std::uint64_t> pages;
+    for (std::uint64_t run = 0; run < 40; run++) {
+        for (std::uint64_t i = 0; i < 32; i++)
+            pages.push_back(run * 1000 + i);
+    }
+    if (shuffled) {
+        Rng rng(99);
+        for (std::size_t i = pages.size() - 1; i > 0; i--)
+            std::swap(pages[i], pages[rng.below(i + 1)]);
+    }
+    return pages;
+}
+
+/** Accesses to `page` in `epoch`: 1-4, so hotness ties abound. */
+int
+accessesOf(std::uint64_t page, int epoch)
+{
+    return 1 + static_cast<int>(
+                   mix64(page * 31 + static_cast<std::uint64_t>(epoch)) %
+                   4);
+}
+
+TEST(PageOrderTest, ContentionPlacementIgnoresFirstTouchOrder)
+{
+    // Threads in a corner pin every page near it; the saturated
+    // attach links make the rebalance migrate. Its candidate ranking
+    // must come from (accesses, page id), never from slot order.
+    const Mesh mesh(8, 8);
+    const auto core_of = [&mesh](std::uint64_t page) {
+        return mesh.tileAt(static_cast<int>(page % 3),
+                           static_cast<int>(page / 3 % 3));
+    };
+    const auto run = [&](bool shuffled) {
+        ContentionMemPlacement policy(mesh,
+                                      ContentionMemPlacementParams{});
+        ContentionNoc noc(mesh, 4.0, 0.95);
+        for (int epoch = 0; epoch < 4; epoch++) {
+            for (const std::uint64_t page : touchOrder(shuffled)) {
+                for (int n = accessesOf(page, epoch); n > 0; n--) {
+                    const int ctrl = policy.controllerFor(
+                        core_of(page), page << pageLineShift);
+                    noc.addMemTraffic(TrafficClass::LLCToMem,
+                                      core_of(page), ctrl, 40);
+                }
+            }
+            noc.epochUpdate(2000.0);
+            policy.epochUpdate(noc, 2000.0);
+        }
+        std::vector<std::uint64_t> outcome = {policy.migratedPages()};
+        for (const std::uint64_t page : touchOrder(false)) {
+            outcome.push_back(static_cast<std::uint64_t>(
+                policy.controllerFor(core_of(page),
+                                     page << pageLineShift)));
+        }
+        for (const std::uint64_t n : policy.controllerAccesses())
+            outcome.push_back(n);
+        return outcome;
+    };
+    const std::vector<std::uint64_t> ascending = run(false);
+    EXPECT_GT(ascending[0], 0u); // The rebalance did migrate.
+    EXPECT_EQ(ascending, run(true));
+}
+
+TEST(PageOrderTest, HotnessTieringIgnoresFirstTouchOrder)
+{
+    const Mesh mesh(4, 4);
+    const auto run = [&mesh](bool shuffled) {
+        MemTieringParams params;
+        params.farRatio = 0.5;
+        params.cooldownEpochs = 1;
+        params.rowBudget = 4;
+        HotnessTieringPolicy policy(mesh, params);
+        ContentionNoc noc(mesh, 1.0, 0.95, /*far_links=*/true);
+        for (int epoch = 0; epoch < 5; epoch++) {
+            for (const std::uint64_t page : touchOrder(shuffled))
+                touch(policy, page, accessesOf(page, epoch));
+            policy.epochUpdate(noc, 1000.0);
+        }
+        std::vector<std::uint64_t> outcome = {policy.promotions(),
+                                              policy.demotions(),
+                                              policy.farResidentPages()};
+        for (const std::uint64_t page : touchOrder(false)) {
+            outcome.push_back(static_cast<std::uint64_t>(
+                policy.onAccess(page << pageLineShift, 0)));
+        }
+        return outcome;
+    };
+    const std::vector<std::uint64_t> ascending = run(false);
+    EXPECT_GT(ascending[0], 0u); // Promotions happened.
+    EXPECT_EQ(ascending, run(true));
 }
 
 } // anonymous namespace

@@ -2,16 +2,24 @@
  * @file
  * Tests for the pluggable NoC layer: zero-load parity with the legacy
  * Mesh arithmetic, contention-model monotonicity and clamping,
- * per-link accounting conservation (link flits sum to flit-hops), and
- * the model registry.
+ * per-link accounting conservation (link flits sum to flit-hops), the
+ * deferred pair-matrix accounting against a per-message route walk,
+ * and the model registry.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <string>
+#include <tuple>
+#include <utility>
 
 #include "common/rng.hh"
 #include "net/contention_noc.hh"
 #include "net/noc_registry.hh"
 #include "net/zero_load_noc.hh"
+#include "obs/stat_registry.hh"
 
 namespace cdcs
 {
@@ -415,6 +423,259 @@ TEST(ContentionNocTest, FlattenedWaitsTrackEveryEpochUpdate)
                 EXPECT_EQ(noc.pathWait(a, b), noc.walkPathWait(a, b));
         }
     }
+}
+
+/**
+ * Test-only reference for ContentionNoc's per-link accounting: every
+ * message is charged link by link along its X-Y route when it is
+ * sent (the walk walkPathWait does for waits), and each epoch close
+ * reprices every link with the model's M/D/1 expression. Links are
+ * keyed like NocLinkStat: (src, dst, memCtrl, far).
+ */
+class WalkingNocReference
+{
+  public:
+    struct Link
+    {
+        std::uint64_t flits = 0;
+        std::uint64_t prev = 0; ///< flits at the last close.
+        double util = 0.0;
+        double wait = 0.0;
+    };
+
+    WalkingNocReference(const Mesh &mesh, double inj_scale,
+                        double max_util, bool far_links)
+        : mesh(mesh), injScale(inj_scale), maxUtil(max_util),
+          farLinks(far_links)
+    {
+    }
+
+    void
+    msg(TileId src, TileId dst, std::uint32_t flits)
+    {
+        MeshCoord at = mesh.coordOf(src);
+        const MeshCoord to = mesh.coordOf(dst);
+        while (at.x != to.x || at.y != to.y) {
+            MeshCoord next = at;
+            if (at.x != to.x)
+                next.x += to.x > at.x ? 1 : -1;
+            else
+                next.y += to.y > at.y ? 1 : -1;
+            links[{mesh.tileAt(at.x, at.y), mesh.tileAt(next.x, next.y),
+                   -1, false}]
+                .flits += flits;
+            at = next;
+        }
+    }
+
+    void
+    memMsg(TileId tile, int ctrl, bool far, std::uint32_t flits)
+    {
+        msg(tile, mesh.memCtrlTile(ctrl), flits);
+        attach(ctrl, far, flits);
+    }
+
+    void
+    memResponse(int ctrl, TileId tile, bool far, std::uint32_t flits)
+    {
+        attach(ctrl, far, flits);
+        msg(mesh.memCtrlTile(ctrl), tile, flits);
+    }
+
+    /**
+     * Close an epoch. @return the flits counted and the links at the
+     * clamp, the `noc.link_flits`/`noc.saturated_links` increments.
+     */
+    std::pair<std::uint64_t, std::uint64_t>
+    close(double elapsed_cycles, bool refresh)
+    {
+        const double cycles = std::max(elapsed_cycles, 1.0);
+        const double service =
+            static_cast<double>(mesh.config().linkCycles);
+        std::uint64_t epoch_flits = 0;
+        std::uint64_t saturated = 0;
+        for (auto &[key, link] : links) {
+            epoch_flits += link.flits - link.prev;
+            const double delta =
+                static_cast<double>(link.flits - link.prev);
+            link.prev = link.flits;
+            const double rho = std::min(
+                maxUtil, injScale * (delta / cycles) * service);
+            if (rho >= maxUtil)
+                saturated++;
+            if (refresh) {
+                link.wait = service * rho / (2.0 * (1.0 - rho));
+                link.util = rho;
+            }
+        }
+        return {epoch_flits, saturated};
+    }
+
+    void
+    clear()
+    {
+        for (auto &[key, link] : links)
+            link.flits = link.prev = 0;
+    }
+
+    /** The reference state of a model link (all zero if untouched). */
+    Link
+    of(const NocLinkStat &stat) const
+    {
+        const auto it = links.find(
+            {stat.src, stat.dst, stat.memCtrl, stat.far});
+        return it == links.end() ? Link{} : it->second;
+    }
+
+    std::size_t
+    linksWithFlits() const
+    {
+        return static_cast<std::size_t>(std::count_if(
+            links.begin(), links.end(),
+            [](const auto &kv) { return kv.second.flits > 0; }));
+    }
+
+  private:
+    void
+    attach(int ctrl, bool far, std::uint32_t flits)
+    {
+        // Without far links the far tier shares the near attach link.
+        links[{mesh.memCtrlTile(ctrl), invalidTile, ctrl,
+               far && farLinks}]
+            .flits += flits;
+    }
+
+    const Mesh &mesh;
+    double injScale;
+    double maxUtil;
+    bool farLinks;
+    std::map<std::tuple<int, int, int, bool>, Link> links;
+};
+
+/** The same seeded message stream into the model and the reference. */
+void
+sendStream(Rng &rng, const Mesh &mesh, ContentionNoc &noc,
+           WalkingNocReference &ref, int messages)
+{
+    for (int i = 0; i < messages; i++) {
+        const auto a = static_cast<TileId>(rng.below(mesh.numTiles()));
+        const auto b = static_cast<TileId>(rng.below(mesh.numTiles()));
+        const auto ctrl =
+            static_cast<int>(rng.below(mesh.numMemCtrls()));
+        const auto flits = static_cast<std::uint32_t>(1 + rng.below(5));
+        switch (rng.below(5)) {
+          case 0:
+            noc.addTraffic(TrafficClass::L2ToLLC, a, b, flits);
+            ref.msg(a, b, flits);
+            break;
+          case 1:
+            noc.addMemTraffic(TrafficClass::LLCToMem, a, ctrl, flits);
+            ref.memMsg(a, ctrl, false, flits);
+            break;
+          case 2:
+            noc.addMemResponse(TrafficClass::LLCToMem, ctrl, a, flits);
+            ref.memResponse(ctrl, a, false, flits);
+            break;
+          case 3:
+            noc.addFarMemTraffic(TrafficClass::LLCToMem, a, ctrl,
+                                 flits);
+            ref.memMsg(a, ctrl, true, flits);
+            break;
+          default:
+            noc.addFarMemResponse(TrafficClass::LLCToMem, ctrl, a,
+                                  flits);
+            ref.memResponse(ctrl, a, true, flits);
+            break;
+        }
+    }
+}
+
+/** linkStats() agrees with the reference on every link. */
+void
+expectLinksMatch(const ContentionNoc &noc,
+                 const WalkingNocReference &ref, bool check_waits,
+                 const std::string &point)
+{
+    std::size_t with_flits = 0;
+    for (const NocLinkStat &stat : noc.linkStats()) {
+        const WalkingNocReference::Link want = ref.of(stat);
+        EXPECT_EQ(stat.flits, want.flits)
+            << point << ": link " << stat.src << "->" << stat.dst
+            << " ctrl " << stat.memCtrl << " far " << stat.far;
+        if (check_waits) {
+            EXPECT_EQ(stat.util, want.util) << point;
+            EXPECT_EQ(stat.waitCycles, want.wait) << point;
+        }
+        with_flits += stat.flits > 0 ? 1 : 0;
+    }
+    // No reference link is missing from the model's snapshot.
+    EXPECT_EQ(with_flits, ref.linksWithFlits()) << point;
+}
+
+TEST(ContentionNocTest, PairFoldMatchesPerMessageRouteWalk)
+{
+    // The model defers each message's route walk to the epoch close
+    // (a pair-matrix fold). Against a reference that walks every
+    // message as it is sent, every link count, utilization, wait and
+    // `noc.*` stat increment must agree: mid-epoch with pairs pending
+    // (linkStats folds a copy), at epochUpdate, at finalEpoch, and
+    // across clearTraffic with pairs pending.
+    const StatId flits_id = StatRegistry::counter("noc.link_flits");
+    const StatId sat_id = StatRegistry::counter("noc.saturated_links");
+    StatRegistry::setEnabled(true);
+    Rng rng(31337);
+    for (const int dim : {4, 8}) {
+        for (const bool far_links : {false, true}) {
+            const std::string where = std::to_string(dim) + "x" +
+                std::to_string(dim) +
+                (far_links ? " far links" : " no far links");
+            const Mesh mesh(dim, dim);
+            ContentionNoc noc(mesh, 4.0, 0.95, far_links);
+            WalkingNocReference ref(mesh, 4.0, 0.95, far_links);
+            const int messages = 300 * mesh.numTiles();
+            // About one message per cycle: the busiest links pass the
+            // clamp, most stay below it.
+            const auto cycles = static_cast<double>(messages);
+
+            // Closes the epoch on both sides and compares the stat
+            // increments and the links.
+            const auto close = [&](bool refresh,
+                                   const std::string &point) {
+                const StatRegistry::Snapshot before =
+                    StatRegistry::localSnapshot();
+                if (refresh)
+                    noc.epochUpdate(cycles);
+                else
+                    noc.finalEpoch(cycles);
+                const StatRegistry::Snapshot after =
+                    StatRegistry::localSnapshot();
+                const auto [flits, saturated] =
+                    ref.close(cycles, refresh);
+                EXPECT_GT(flits, 0u) << point;
+                EXPECT_EQ(after[flits_id] - before[flits_id], flits)
+                    << point;
+                EXPECT_EQ(after[sat_id] - before[sat_id], saturated)
+                    << point;
+                expectLinksMatch(noc, ref, true, point);
+            };
+
+            sendStream(rng, mesh, noc, ref, messages);
+            expectLinksMatch(noc, ref, false, where + " mid-epoch");
+            close(true, where + " epochUpdate");
+
+            sendStream(rng, mesh, noc, ref, messages);
+            close(false, where + " finalEpoch");
+
+            // Pending pairs are traffic too: clearTraffic drops them.
+            sendStream(rng, mesh, noc, ref, messages);
+            noc.clearTraffic();
+            ref.clear();
+            expectLinksMatch(noc, ref, true, where + " clearTraffic");
+            sendStream(rng, mesh, noc, ref, messages);
+            close(true, where + " epochUpdate after clearTraffic");
+        }
+    }
+    StatRegistry::setEnabled(false);
 }
 
 TEST(NocRegistryTest, BuiltInModelsRegistered)

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "obs/stat_registry.hh"
 #include "sim/experiment.hh"
 
@@ -54,6 +57,64 @@ TEST(SystemTest, MetricsTraceCountsTheFinalEpochsNocFlits)
     EXPECT_GT(res.epochTrace.back().stats[0], 0u);
     EXPECT_GT(link_flits, 0u);
     EXPECT_EQ(measured, link_flits);
+}
+
+/** Sum of one stat's column over a run's measured epochs. */
+std::uint64_t
+measuredStat(const SystemConfig &cfg, const RunResult &res,
+             const std::string &name)
+{
+    std::size_t col = 0;
+    while (col < res.statNames.size() && res.statNames[col] != name)
+        col++;
+    EXPECT_LT(col, res.statNames.size()) << name;
+    std::uint64_t sum = 0;
+    for (int e = cfg.warmupEpochs; e < cfg.epochs; e++) {
+        const std::vector<std::uint64_t> &row = res.epochTrace[e].stats;
+        if (col >= row.size())
+            continue;
+        // Once per chunk at most, never per access.
+        EXPECT_LE(row[col], (cfg.accessesPerThreadEpoch +
+                             cfg.chunkAccesses - 1) /
+                      cfg.chunkAccesses)
+            << name << " epoch " << e;
+        sum += row[col];
+    }
+    return sum;
+}
+
+TEST(SystemTest, MemQueueClampCountersFlagSaturatedChunks)
+{
+    // The memory queues clamp utilization at 0.95; chunks that hit
+    // the clamp are counted so a result can say its queue delay is a
+    // floor. A starved near channel pool (and, with a far tier, a
+    // starved far pool) hits it; a default tiny fig11 run never does.
+    SystemConfig starved = smallConfig();
+    starved.statsFilter = "1";
+    starved.memLinesPerCycle = 0.001;
+    starved.farMemRatio = 0.5;
+    starved.farMemLinesPerCycle = 0.001;
+    StatRegistry::setEnabled(true);
+    const RunResult clamped =
+        runScheme(starved, SchemeSpec::snuca(), MixSpec::cpu(4, 11));
+
+    SystemConfig fig11;
+    fig11.statsFilter = "1";
+    fig11.accessesPerThreadEpoch = 2000;
+    fig11.epochs = 3;
+    fig11.warmupEpochs = 1;
+    const RunResult quiet =
+        runScheme(fig11, SchemeSpec::cdcs(), MixSpec::cpu(64, 1000));
+    StatRegistry::setEnabled(false);
+
+    EXPECT_GT(measuredStat(starved, clamped, "mem.queue_clamped_chunks"),
+              0u);
+    EXPECT_GT(
+        measuredStat(starved, clamped, "mem.far_queue_clamped_chunks"),
+        0u);
+    EXPECT_EQ(measuredStat(fig11, quiet, "mem.queue_clamped_chunks"), 0u);
+    EXPECT_EQ(
+        measuredStat(fig11, quiet, "mem.far_queue_clamped_chunks"), 0u);
 }
 
 TEST(SystemTest, SnucaRunProducesSaneNumbers)
