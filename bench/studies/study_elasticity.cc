@@ -16,12 +16,12 @@
  */
 
 #include <algorithm>
-#include <cstdarg>
 #include <cstdio>
 #include <iterator>
 #include <string>
 #include <vector>
 
+#include "common/format.hh"
 #include "common/stats.hh"
 #include "sim/report.hh"
 #include "sim/study.hh"
@@ -37,21 +37,6 @@ struct ChurnLevel
     const char *name;
     int threads; ///< Threads departing (then returning); 0 = none.
 };
-
-void
-appendF(std::string &out, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void
-appendF(std::string &out, const char *fmt, ...)
-{
-    char buf[256];
-    va_list args;
-    va_start(args, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, args);
-    va_end(args);
-    out += buf;
-}
 
 /**
  * The per-epoch churn trace, on the shared metrics-trace schema with
@@ -224,7 +209,7 @@ const StudyRegistrar registrar([] {
                               levels[l].name,
                               ctx.spec.lineup[s].c_str());
                 ctx.sink.artifact(
-                    name,
+                    name, "artifact",
                     traceJson(levels[l].name, schemes[s].name, down,
                               up, sweeps[l].firstRun[s]));
             }

@@ -45,7 +45,7 @@ const StudyRegistrar registrar([] {
         system.run();
         const ChipMap map = captureChipMap(system);
         writeChipMap(ctx.sink, map);
-        ctx.sink.chipMap("fig16b_chipmap", map);
+        ctx.sink.artifact("fig16b_chipmap", "chipmap", map.toJson());
     };
     return spec;
 }());

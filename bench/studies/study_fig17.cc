@@ -53,9 +53,10 @@ const StudyRegistrar registrar([] {
         std::vector<std::vector<double>> traces;
         for (std::size_t i = 0; i < results.size(); i++) {
             traces.push_back(results[i].ipcTrace);
-            ctx.sink.trace(std::string("fig17_trace_") +
-                               modes[i].first,
-                           results[i]);
+            const std::string name =
+                std::string("fig17_trace_") + modes[i].first;
+            ctx.sink.artifact(name, "trace",
+                              traceToJson(name, results[i]));
         }
 
         std::size_t bins = 0;

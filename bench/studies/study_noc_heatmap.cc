@@ -40,7 +40,8 @@ const StudyRegistrar registrar([] {
                 ctx.cfg.meshWidth, ctx.cfg.meshHeight, run);
             ctx.sink.printf("-- %s --\n", scheme.name.c_str());
             writeNocHeatmap(ctx.sink, map);
-            ctx.sink.nocHeatmap("noc_heatmap_" + name, map);
+            ctx.sink.artifact("noc_heatmap_" + name, "nocheatmap",
+                              map.toJson());
             ctx.sink.printf("\n");
         }
     };

@@ -85,7 +85,7 @@ const StudyRegistrar registrar([] {
         cdcs_system.run();
         const ChipMap map = captureChipMap(cdcs_system);
         writeChipMap(ctx.sink, map);
-        ctx.sink.chipMap("table1_chipmap", map);
+        ctx.sink.artifact("table1_chipmap", "chipmap", map.toJson());
     };
     return spec;
 }());

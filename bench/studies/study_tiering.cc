@@ -192,7 +192,7 @@ const StudyRegistrar registrar([] {
             json += "]}";
         }
         json += "]}";
-        ctx.sink.artifact("tiering_summary", json);
+        ctx.sink.artifact("tiering_summary", "artifact", json);
     };
     return spec;
 }());

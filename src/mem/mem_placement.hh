@@ -49,8 +49,8 @@ class MemPlacementPolicy
     MemPlacementPolicy &operator=(const MemPlacementPolicy &) = delete;
 
     /**
-     * Registry name ("interleave", "first-touch", "d2choice",
-     * "contention").
+     * The `memPlacement=` value that selects the policy
+     * ("interleave", "first-touch", "d2choice", "contention").
      */
     virtual const char *name() const = 0;
 

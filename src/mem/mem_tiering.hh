@@ -88,7 +88,7 @@ class MemTieringPolicy
     MemTieringPolicy(const MemTieringPolicy &) = delete;
     MemTieringPolicy &operator=(const MemTieringPolicy &) = delete;
 
-    /** Registry name ("static", "hotness"). */
+    /** The `memTiering=` value that selects it ("static", ...). */
     virtual const char *name() const = 0;
 
     /**

@@ -64,7 +64,7 @@ class NocModel
     NocModel(const NocModel &) = delete;
     NocModel &operator=(const NocModel &) = delete;
 
-    /** Registry name of the model ("zero-load", "contention", ...). */
+    /** The `noc=` value that selects the model ("zero-load", ...). */
     virtual const char *name() const = 0;
 
     /** Latency of one message routed X-Y from src to dst. */

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 
+#include "common/format.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 #include "common/stats.hh"
@@ -16,17 +16,6 @@ namespace cdcs
 
 namespace
 {
-
-void
-appendF(std::string &out, const char *fmt, ...)
-{
-    char buf[256];
-    va_list args;
-    va_start(args, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, args);
-    va_end(args);
-    out += buf;
-}
 
 void
 appendDoubleArray(std::string &out, const std::vector<double> &xs)
@@ -106,18 +95,6 @@ SweepResult::toJson() const
     }
     out += "  ]\n}\n";
     return out;
-}
-
-bool
-SweepResult::writeJson(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        return false;
-    const std::string json = toJson();
-    const bool ok =
-        std::fwrite(json.data(), 1, json.size(), f) == json.size();
-    return std::fclose(f) == 0 && ok;
 }
 
 ExperimentRunner::ExperimentRunner(Options options)

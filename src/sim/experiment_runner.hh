@@ -55,9 +55,6 @@ struct SweepResult
 
     /** Serialize schemes + per-mix/per-scheme aggregates as JSON. */
     std::string toJson() const;
-
-    /** Write toJson() to `path`; returns false on I/O failure. */
-    bool writeJson(const std::string &path) const;
 };
 
 /**

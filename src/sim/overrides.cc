@@ -1,14 +1,13 @@
 #include "sim/overrides.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <sstream>
 #include <utility>
 
 #include "cache/cache_array.hh"
 #include "common/log.hh"
-#include "mem/mem_placement_registry.hh"
-#include "mem/mem_tiering_registry.hh"
-#include "net/noc_registry.hh"
 #include "workload/traffic.hh"
 
 namespace cdcs
@@ -86,6 +85,12 @@ struct KeyDef
     void (*set)(SystemConfig &, const Override &);
     /** Minimum accepted value for int/uint keys. */
     long long min = 0;
+    /**
+     * Space-separated accepted values of a string key that names a
+     * model; null accepts any value. Platform builds one model per
+     * name (and dies on any other), so the two lists move together.
+     */
+    const char *choices = nullptr;
 };
 
 /**
@@ -145,7 +150,8 @@ const KeyDef configKeys[] = {
     {"memPlacement", "string",
      [](SystemConfig &c, const Override &v) {
          c.memPlacement = v.value;
-     }},
+     },
+     /*min=*/0, "interleave first-touch d2choice contention"},
     {"farMemRatio", "double",
      [](SystemConfig &c, const Override &v) { c.farMemRatio = v.d; }},
     {"farMemLatency", "uint",
@@ -164,11 +170,13 @@ const KeyDef configKeys[] = {
     {"memTiering", "string",
      [](SystemConfig &c, const Override &v) {
          c.memTiering = v.value;
-     }},
+     },
+     /*min=*/0, "static hotness"},
     {"noc", "string",
      [](SystemConfig &c, const Override &v) {
          c.nocModel = v.value;
-     }},
+     },
+     /*min=*/0, "zero-load contention"},
     {"nocInjScale", "double",
      [](SystemConfig &c, const Override &v) {
          c.nocInjScale = v.d;
@@ -180,7 +188,8 @@ const KeyDef configKeys[] = {
     {"placementCost", "string",
      [](SystemConfig &c, const Override &v) {
          c.placementCost = v.value;
-     }},
+     },
+     /*min=*/0, "noc zero-load"},
     {"skewAlpha", "double",
      [](SystemConfig &c, const Override &v) { c.skewAlpha = v.d; }},
     {"skewFraction", "double",
@@ -300,6 +309,16 @@ findKey(const std::string &name)
     return nullptr;
 }
 
+std::vector<std::string>
+splitChoices(const char *choices)
+{
+    std::vector<std::string> out;
+    std::istringstream words(choices != nullptr ? choices : "");
+    for (std::string word; words >> word;)
+        out.push_back(word);
+    return out;
+}
+
 } // anonymous namespace
 
 bool
@@ -335,55 +354,28 @@ Overrides::add(const std::string &kv, std::string *err)
                 std::to_string(def->min) + ")";
         return false;
     }
+    if (def->choices != nullptr) {
+        const std::vector<std::string> names =
+            splitChoices(def->choices);
+        if (std::find(names.begin(), names.end(), entry.value) ==
+            names.end()) {
+            if (err != nullptr) {
+                *err = "bad value '" + entry.value + "' for " +
+                    entry.key + " (expected one of:";
+                for (const std::string &n : names)
+                    *err += " " + n;
+                *err += ")";
+            }
+            return false;
+        }
+    }
     // Keys with constraints the KeyDef table can't express.
-    if (entry.key == "noc" &&
-        !NocRegistry::instance().contains(entry.value)) {
-        if (err != nullptr) {
-            *err = "unknown noc model '" + entry.value +
-                "' (registered:";
-            for (const std::string &n :
-                 NocRegistry::instance().names())
-                *err += " " + n;
-            *err += ")";
-        }
-        return false;
-    }
-    if (entry.key == "memPlacement" &&
-        !MemPlacementRegistry::instance().contains(entry.value)) {
-        if (err != nullptr) {
-            *err = "unknown mem placement policy '" + entry.value +
-                "' (registered:";
-            for (const std::string &n :
-                 MemPlacementRegistry::instance().names())
-                *err += " " + n;
-            *err += ")";
-        }
-        return false;
-    }
-    if (entry.key == "memTiering" &&
-        !MemTieringRegistry::known(entry.value)) {
-        if (err != nullptr) {
-            *err = "unknown mem tiering policy '" + entry.value +
-                "' (registered:";
-            for (const std::string &n : MemTieringRegistry::names())
-                *err += " " + n;
-            *err += ")";
-        }
-        return false;
-    }
     if ((entry.key == "farMemRatio" &&
          (entry.d < 0.0 || entry.d >= 1.0)) ||
         (entry.key == "farMemLinesPerCycle" && entry.d <= 0.0)) {
         if (err != nullptr)
             *err = "bad value '" + entry.value + "' for " +
                 entry.key + " (out of range)";
-        return false;
-    }
-    if (entry.key == "placementCost" && entry.value != "noc" &&
-        entry.value != "zero-load") {
-        if (err != nullptr)
-            *err = "unknown placement cost oracle '" + entry.value +
-                "' (expected noc or zero-load)";
         return false;
     }
     if ((entry.key == "nocInjScale" && entry.d <= 0.0) ||
@@ -498,6 +490,13 @@ Overrides::strKnob(const char *key, const char *env,
             return value;
     }
     return fallback;
+}
+
+std::vector<std::string>
+Overrides::choices(const std::string &key)
+{
+    const KeyDef *def = findKey(key);
+    return splitChoices(def != nullptr ? def->choices : nullptr);
 }
 
 std::vector<std::pair<std::string, std::string>>

@@ -42,8 +42,9 @@ class Overrides
   public:
     /**
      * Parse one `key=value` string. Returns false (with a message in
-     * `*err`) when the input is malformed, the key is unknown, or
-     * the value does not parse as the key's type.
+     * `*err`) when the input is malformed, the key is unknown, the
+     * value does not parse as the key's type, or it is not one of
+     * the key's choices().
      */
     bool add(const std::string &kv, std::string *err);
 
@@ -81,6 +82,13 @@ class Overrides
 
     bool empty() const { return entries.empty(); }
     const std::vector<Override> &all() const { return entries; }
+
+    /**
+     * The values a key accepts when it names a model (`noc`,
+     * `memPlacement`, `memTiering`, `placementCost`); empty for
+     * every other key.
+     */
+    static std::vector<std::string> choices(const std::string &key);
 
     /** Every recognized key with its type, for help/docs output. */
     static std::vector<std::pair<std::string, std::string>>

@@ -1,11 +1,10 @@
 #include "sim/platform.hh"
 
 #include "common/log.hh"
-#include "mem/mem_placement_registry.hh"
-#include "mem/mem_tiering_registry.hh"
 #include "monitor/gmon.hh"
-#include "net/noc_registry.hh"
 #include "monitor/umon.hh"
+#include "net/contention_noc.hh"
+#include "net/zero_load_noc.hh"
 #include "nuca/rnuca.hh"
 #include "nuca/snuca.hh"
 #include "runtime/anneal.hh"
@@ -20,19 +19,38 @@ Platform::Platform(const SystemConfig &cfg, const SchemeSpec &spec,
                    const WorkloadMix &mix)
     : mesh(cfg.meshWidth, cfg.meshHeight, cfg.noc, cfg.memChannels)
 {
-    NocBuildParams noc_params;
-    noc_params.injScale = cfg.nocInjScale;
-    noc_params.maxUtil = cfg.nocMaxUtil;
-    noc_params.farLinks = cfg.hasFarTier();
-    noc = NocRegistry::instance().build(cfg.nocModel, mesh,
-                                        noc_params);
+    // Each name below must also be in its key's accepted list in
+    // overrides.cc. Programmatic configs bypass that check, so an
+    // unknown name fails here.
+    if (cfg.nocModel == "zero-load") {
+        noc = std::make_unique<ZeroLoadNoc>(mesh);
+    } else if (cfg.nocModel == "contention") {
+        noc = std::make_unique<ContentionNoc>(
+            mesh, cfg.nocInjScale, cfg.nocMaxUtil, cfg.hasFarTier());
+    } else {
+        fatal("unknown noc model '%s' (expected zero-load or "
+              "contention)", cfg.nocModel.c_str());
+    }
 
-    MemPlacementBuildParams mem_params;
-    mem_params.hopCycles = static_cast<double>(
-        cfg.noc.routerCycles + cfg.noc.linkCycles);
-    mem_params.smoothing = cfg.monitorSmoothing;
-    memPlacement = MemPlacementRegistry::instance().build(
-        cfg.memPlacement, mesh, mem_params);
+    if (cfg.memPlacement == "interleave") {
+        memPlacement = std::make_unique<InterleaveMemPlacement>(mesh);
+    } else if (cfg.memPlacement == "first-touch") {
+        memPlacement = std::make_unique<FirstTouchMemPlacement>(mesh);
+    } else if (cfg.memPlacement == "d2choice") {
+        memPlacement = std::make_unique<D2ChoiceMemPlacement>(
+            mesh, cfg.monitorSmoothing);
+    } else if (cfg.memPlacement == "contention") {
+        ContentionMemPlacementParams params;
+        params.hopCycles = static_cast<double>(
+            cfg.noc.routerCycles + cfg.noc.linkCycles);
+        params.smoothing = cfg.monitorSmoothing;
+        memPlacement =
+            std::make_unique<ContentionMemPlacement>(mesh, params);
+    } else {
+        fatal("unknown mem placement policy '%s' (expected "
+              "interleave, first-touch, d2choice or contention)",
+              cfg.memPlacement.c_str());
+    }
 
     if (cfg.hasFarTier()) {
         // Overrides::add validates these, but programmatic configs
@@ -47,8 +65,16 @@ Platform::Platform(const SystemConfig &cfg, const SchemeSpec &spec,
         MemTieringParams tier_params;
         tier_params.farRatio = cfg.farMemRatio;
         tier_params.smoothing = cfg.monitorSmoothing;
-        tiering = MemTieringRegistry::build(cfg.memTiering, mesh,
-                                            tier_params);
+        if (cfg.memTiering == "static") {
+            tiering = std::make_unique<StaticTieringPolicy>(
+                mesh, tier_params);
+        } else if (cfg.memTiering == "hotness") {
+            tiering = std::make_unique<HotnessTieringPolicy>(
+                mesh, tier_params);
+        } else {
+            fatal("unknown mem tiering policy '%s' (expected static "
+                  "or hotness)", cfg.memTiering.c_str());
+        }
         memPlacement->attachTiering(tiering.get());
     }
 
@@ -62,13 +88,12 @@ Platform::Platform(const SystemConfig &cfg, const SchemeSpec &spec,
     cdcs_assert(mesh.config().routerCycles == cfg.noc.routerCycles &&
                     mesh.config().linkCycles == cfg.noc.linkCycles,
                 "mesh NoC timing diverged from SystemConfig.noc");
-    // Overrides::add validates the `placementCost=` key, but configs
-    // built programmatically bypass it; an unknown oracle name must
-    // fail loudly here, not silently run the contention-priced arm.
-    cdcs_assert(cfg.placementCost == "noc" ||
-                    cfg.placementCost == "zero-load",
-                "unknown placement cost oracle (expected noc or "
-                "zero-load)");
+    // The EpochController reads the oracle name; an unknown one must
+    // fail here, not silently run the contention-priced arm.
+    if (cfg.placementCost != "noc" && cfg.placementCost != "zero-load") {
+        fatal("unknown placement cost oracle '%s' (expected noc or "
+              "zero-load)", cfg.placementCost.c_str());
+    }
 
     banks.reserve(num_banks);
     for (int b = 0; b < num_banks; b++) {

@@ -1,10 +1,13 @@
 /**
  * @file
  * Platform construction layer: builds the simulated hardware for one
- * run — the mesh NoC, the partitioned LLC banks, the per-VC monitors,
- * the reconfiguration runtime and the NUCA policy — plus the initial
- * (static) thread schedule. Pure construction; the per-access and
- * per-epoch dynamics live in AccessPath and EpochController.
+ * run — the mesh, the network model, the memory placement and tiering
+ * policies, the partitioned LLC banks, the per-VC monitors, the
+ * reconfiguration runtime and the NUCA policy — plus the initial
+ * (static) thread schedule. Every model is picked by a plain branch
+ * on its SystemConfig name or enum; an unknown name is fatal. Pure
+ * construction; the per-access and per-epoch dynamics live in
+ * AccessPath and EpochController.
  */
 
 #ifndef CDCS_SIM_PLATFORM_HH
@@ -50,16 +53,15 @@ class Platform
     }
 
     Mesh mesh;
-    /// Network model (cfg.nocModel via the NocRegistry); owns the
-    /// run's traffic counters and any contention state.
+    /// Network model named by cfg.nocModel; owns the run's traffic
+    /// counters and any contention state.
     std::unique_ptr<NocModel> noc;
-    /// Page-to-controller placement (cfg.memPlacement via the
-    /// MemPlacementRegistry); owns the page map and any
-    /// per-controller load accounting.
+    /// Page-to-controller placement named by cfg.memPlacement; owns
+    /// the page map and any per-controller load accounting.
     std::unique_ptr<MemPlacementPolicy> memPlacement;
-    /// Capacity-tiering policy (cfg.memTiering via the
-    /// MemTieringRegistry), attached to memPlacement; nullptr when no
-    /// far tier is configured (cfg.hasFarTier() == false).
+    /// Capacity-tiering policy named by cfg.memTiering, attached to
+    /// memPlacement; nullptr when no far tier is configured
+    /// (cfg.hasFarTier() == false).
     std::unique_ptr<MemTieringPolicy> tiering;
     std::vector<PartitionedBank> banks;
     /// Per-VC monitors; empty for schemes that don't want them.

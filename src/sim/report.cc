@@ -4,6 +4,7 @@
 #include <cstdarg>
 #include <vector>
 
+#include "common/format.hh"
 #include "common/json.hh"
 #include "common/stats.hh"
 #include "sim/study.hh"
@@ -15,48 +16,17 @@ namespace cdcs
 namespace
 {
 
-void
-appendF(std::string &out, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void
-appendF(std::string &out, const char *fmt, ...)
-{
-    char buf[512];
-    va_list args;
-    va_start(args, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, args);
-    va_end(args);
-    out += buf;
-}
-
+/** Write `json` plus one newline to `path`; false on I/O failure. */
 bool
-writeFile(const std::string &path, const std::string &data)
+writeJsonFile(const std::string &path, std::string_view json)
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (f == nullptr)
         return false;
     const bool ok =
-        std::fwrite(data.data(), 1, data.size(), f) == data.size();
+        std::fwrite(json.data(), 1, json.size(), f) == json.size() &&
+        std::fputc('\n', f) != EOF;
     return std::fclose(f) == 0 && ok;
-}
-
-/**
- * Write one artifact as <dir>/<name>.json; no-op on an empty dir,
- * stderr note on I/O failure. Returns the path written, or "".
- */
-std::string
-exportArtifactFile(const std::string &dir, const std::string &name,
-                   const std::string &json)
-{
-    if (dir.empty())
-        return "";
-    const std::string path = dir + "/" + name + ".json";
-    if (!writeFile(path, json)) {
-        std::fprintf(stderr, "failed to write %s\n", path.c_str());
-        return "";
-    }
-    return path;
 }
 
 /** CSV field, quoted when it contains a delimiter or quote. */
@@ -98,25 +68,18 @@ artifactFragment(const std::string &s)
 void
 ReportSink::printf(const char *fmt, ...)
 {
-    char buf[512];
+    std::string line;
     va_list args;
     va_start(args, fmt);
-    const int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
+    appendV(line, fmt, args);
     va_end(args);
-    if (n < static_cast<int>(sizeof(buf))) {
-        text(std::string_view(buf, n < 0 ? 0 : n));
-        return;
-    }
-    std::vector<char> big(static_cast<std::size_t>(n) + 1);
-    va_start(args, fmt);
-    std::vsnprintf(big.data(), big.size(), fmt, args);
-    va_end(args);
-    text(std::string_view(big.data(), n));
+    text(line);
 }
 
 void
 ReportSink::sweep(const std::string &name, const SweepResult &result)
 {
+    artifact(name, "sweep", result.toJson());
     onSweep(name, result);
     // Auto-export the per-epoch metrics traces (one per scheme) when
     // the sweep's runs carried a `stats=` selection. firstRun holds
@@ -129,8 +92,28 @@ ReportSink::sweep(const std::string &name, const SweepResult &result)
             ? result.schemes[s].name : std::to_string(s);
         artifact("metrics_trace_" + name + "_" +
                      artifactFragment(scheme),
+                 "artifact",
                  metricsTraceJson(scheme, result.firstRun[s]));
     }
+}
+
+void
+ReportSink::artifact(const std::string &name, std::string_view kind,
+                     std::string_view json)
+{
+    // One value per file and per document entry: a trailing newline
+    // (SweepResult::toJson ends in one) is the file's, not the value's.
+    while (!json.empty() && json.back() == '\n')
+        json.remove_suffix(1);
+    std::string path;
+    if (!jsonDir.empty()) {
+        path = jsonDir + "/" + name + ".json";
+        if (!writeJsonFile(path, json)) {
+            std::fprintf(stderr, "failed to write %s\n", path.c_str());
+            path.clear();
+        }
+    }
+    onArtifact(name, kind, json, path);
 }
 
 void
@@ -333,7 +316,7 @@ metricsTraceJson(const std::string &scheme, const RunResult &run,
 
 TextReportSink::TextReportSink(std::FILE *out_file,
                                std::string json_dir)
-    : out(out_file), jsonDir(std::move(json_dir))
+    : ReportSink(std::move(json_dir)), out(out_file)
 {
 }
 
@@ -350,50 +333,16 @@ TextReportSink::flush()
 }
 
 void
-TextReportSink::exportArtifact(const std::string &name,
-                               const std::string &json)
+TextReportSink::onArtifact(const std::string &name,
+                           std::string_view kind,
+                           std::string_view json,
+                           const std::string &path)
 {
-    const std::string path = exportArtifactFile(jsonDir, name, json);
+    (void)name;
+    (void)kind;
+    (void)json;
     if (!path.empty())
         this->printf("[json: %s]\n", path.c_str());
-}
-
-void
-TextReportSink::onSweep(const std::string &name,
-                        const SweepResult &result)
-{
-    if (!jsonDir.empty())
-        exportArtifact(name, result.toJson());
-}
-
-void
-TextReportSink::trace(const std::string &name, const RunResult &run)
-{
-    if (!jsonDir.empty())
-        exportArtifact(name, traceToJson(name, run) + "\n");
-}
-
-void
-TextReportSink::chipMap(const std::string &name, const ChipMap &map)
-{
-    if (!jsonDir.empty())
-        exportArtifact(name, map.toJson() + "\n");
-}
-
-void
-TextReportSink::nocHeatmap(const std::string &name,
-                           const NocHeatmap &map)
-{
-    if (!jsonDir.empty())
-        exportArtifact(name, map.toJson() + "\n");
-}
-
-void
-TextReportSink::artifact(const std::string &name,
-                         const std::string &json)
-{
-    if (!jsonDir.empty())
-        exportArtifact(name, json + "\n");
 }
 
 // ------------------------------------------------------------------
@@ -401,7 +350,7 @@ TextReportSink::artifact(const std::string &name,
 
 JsonReportSink::JsonReportSink(std::FILE *out_file,
                                std::string json_dir)
-    : out(out_file), jsonDir(std::move(json_dir))
+    : ReportSink(std::move(json_dir)), out(out_file)
 {
 }
 
@@ -420,64 +369,18 @@ JsonReportSink::beginStudy(const StudySpec &spec)
 }
 
 void
-JsonReportSink::onSweep(const std::string &name,
-                        const SweepResult &result)
+JsonReportSink::onArtifact(const std::string &name,
+                           std::string_view kind,
+                           std::string_view json,
+                           const std::string &path)
 {
-    const std::string json = result.toJson();
-    exportArtifactFile(jsonDir, name, json);
+    (void)path;
     doc += anyArtifact ? ",\n" : "\n";
     anyArtifact = true;
     doc += "   {\"name\": " + jsonString(name) +
-        ", \"kind\": \"sweep\", \"data\": " + json;
-    // toJson() ends with a newline; fold it before closing.
-    while (!doc.empty() && doc.back() == '\n')
-        doc.pop_back();
+        ", \"kind\": " + jsonString(kind) + ", \"data\": ";
+    doc += json;
     doc += "}";
-}
-
-void
-JsonReportSink::trace(const std::string &name, const RunResult &run)
-{
-    const std::string json = traceToJson(name, run);
-    exportArtifactFile(jsonDir, name, json + "\n");
-    doc += anyArtifact ? ",\n" : "\n";
-    anyArtifact = true;
-    doc += "   {\"name\": " + jsonString(name) +
-        ", \"kind\": \"trace\", \"data\": " + json + "}";
-}
-
-void
-JsonReportSink::chipMap(const std::string &name, const ChipMap &map)
-{
-    const std::string json = map.toJson();
-    exportArtifactFile(jsonDir, name, json + "\n");
-    doc += anyArtifact ? ",\n" : "\n";
-    anyArtifact = true;
-    doc += "   {\"name\": " + jsonString(name) +
-        ", \"kind\": \"chipmap\", \"data\": " + json + "}";
-}
-
-void
-JsonReportSink::nocHeatmap(const std::string &name,
-                           const NocHeatmap &map)
-{
-    const std::string json = map.toJson();
-    exportArtifactFile(jsonDir, name, json + "\n");
-    doc += anyArtifact ? ",\n" : "\n";
-    anyArtifact = true;
-    doc += "   {\"name\": " + jsonString(name) +
-        ", \"kind\": \"nocheatmap\", \"data\": " + json + "}";
-}
-
-void
-JsonReportSink::artifact(const std::string &name,
-                         const std::string &json)
-{
-    exportArtifactFile(jsonDir, name, json + "\n");
-    doc += anyArtifact ? ",\n" : "\n";
-    anyArtifact = true;
-    doc += "   {\"name\": " + jsonString(name) +
-        ", \"kind\": \"artifact\", \"data\": " + json + "}";
 }
 
 void
@@ -495,10 +398,7 @@ JsonReportSink::timing(const std::string &study,
             static_cast<unsigned long long>(t.poolSteals),
             static_cast<unsigned long long>(t.poolWakeups),
             t.poolIdleSec);
-    doc += anyArtifact ? ",\n" : "\n";
-    anyArtifact = true;
-    doc += "   {\"name\": \"timing\", \"kind\": \"timing\", "
-           "\"data\": " + json + "}";
+    onArtifact("timing", "timing", json, "");
 }
 
 void
@@ -520,7 +420,7 @@ JsonReportSink::finish()
 
 CsvReportSink::CsvReportSink(std::FILE *out_file,
                              std::string json_dir)
-    : out(out_file), jsonDir(std::move(json_dir))
+    : ReportSink(std::move(json_dir)), out(out_file)
 {
 }
 
@@ -531,42 +431,9 @@ CsvReportSink::beginStudy(const StudySpec &spec)
 }
 
 void
-CsvReportSink::trace(const std::string &name, const RunResult &run)
-{
-    if (!jsonDir.empty())
-        exportArtifactFile(jsonDir, name,
-                           traceToJson(name, run) + "\n");
-}
-
-void
-CsvReportSink::chipMap(const std::string &name, const ChipMap &map)
-{
-    if (!jsonDir.empty())
-        exportArtifactFile(jsonDir, name, map.toJson() + "\n");
-}
-
-void
-CsvReportSink::nocHeatmap(const std::string &name,
-                          const NocHeatmap &map)
-{
-    if (!jsonDir.empty())
-        exportArtifactFile(jsonDir, name, map.toJson() + "\n");
-}
-
-void
-CsvReportSink::artifact(const std::string &name,
-                        const std::string &json)
-{
-    if (!jsonDir.empty())
-        exportArtifactFile(jsonDir, name, json + "\n");
-}
-
-void
 CsvReportSink::onSweep(const std::string &name,
                        const SweepResult &result)
 {
-    if (!jsonDir.empty())
-        exportArtifactFile(jsonDir, name, result.toJson());
     if (!wroteHeader) {
         std::fprintf(out,
                      "study,sweep,scheme,mixes,gmeanWS,maxWS,"

@@ -3,9 +3,10 @@
  * Output layer of the study API. A ReportSink receives everything a
  * study produces — the free-form text stream the legacy harnesses
  * printed, plus structured artifacts (sweeps, per-run IPC traces,
- * chip maps) — so one study body can render as plain text
- * (byte-identical to the legacy benches), a JSON document, or CSV
- * summary rows, and can export per-run artifacts as JSON files.
+ * chip maps, link heatmaps) through one artifact() channel — so one
+ * study body can render as plain text (byte-identical to the legacy
+ * benches), a JSON document, or CSV summary rows, and can export
+ * every artifact as a JSON file.
  *
  * The write* helpers are the old bench_util.hh printers, rendering
  * through a sink with the exact legacy formats.
@@ -18,6 +19,7 @@
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sim/experiment_runner.hh"
@@ -87,6 +89,14 @@ struct StudyTiming
 class ReportSink
 {
   public:
+    /**
+     * A non-empty `json_dir` exports every artifact as a
+     * <json_dir>/<name>.json file, whatever the output format.
+     */
+    explicit ReportSink(std::string json_dir = "")
+        : jsonDir(std::move(json_dir))
+    {
+    }
     virtual ~ReportSink() = default;
 
     /** Free-form preformatted text (the legacy printf stream). */
@@ -104,52 +114,23 @@ class ReportSink
     virtual void finish() {}
 
     /**
-     * A completed scheme x mix sweep. Non-virtual template method:
-     * dispatches to the sink's onSweep() rendering, then auto-exports
-     * a metrics_trace_* artifact for every scheme whose mix-0 run
-     * sampled registry stats (`stats=` active), so every sink flavor
-     * gets the metrics traces without reimplementing the export.
+     * A completed scheme x mix sweep: exported as a "sweep" artifact,
+     * rendered by the sink's onSweep(), then followed by a
+     * metrics_trace_* artifact for every scheme whose mix-0 run
+     * sampled registry stats (`stats=` active).
      */
     void sweep(const std::string &name, const SweepResult &result);
 
-    /** A per-run IPC trace (Fig. 17). */
-    virtual void
-    trace(const std::string &name, const RunResult &run)
-    {
-        (void)name;
-        (void)run;
-    }
-
-    /** A captured placement map (Fig. 1 / Fig. 16b). */
-    virtual void
-    chipMap(const std::string &name, const ChipMap &map)
-    {
-        (void)name;
-        (void)map;
-    }
-
-    /** A captured link-load heatmap (noc_heatmap). */
-    virtual void
-    nocHeatmap(const std::string &name, const NocHeatmap &map)
-    {
-        (void)name;
-        (void)map;
-    }
-
     /**
-     * A free-form structured artifact: `json` must be a complete
-     * JSON value. Text/CSV sinks export it as a <name>.json file
-     * (when a json_dir is configured); the JSON sink embeds it in
-     * the document. For study-specific payloads (e.g. the
-     * elasticity study's churn traces) that don't fit the typed
-     * channels above.
+     * The one structured-output channel. `json` is a complete JSON
+     * value (e.g. ChipMap::toJson(), traceToJson()) and `kind` labels
+     * it in the JSON document ("sweep", "trace", "chipmap",
+     * "nocheatmap", "artifact"). With a jsonDir the value is written
+     * to <jsonDir>/<name>.json, ending in exactly one newline; then
+     * onArtifact() sees it.
      */
-    virtual void
-    artifact(const std::string &name, const std::string &json)
-    {
-        (void)name;
-        (void)json;
-    }
+    void artifact(const std::string &name, std::string_view kind,
+                  std::string_view json);
 
     /**
      * A study's phase-timing footer (emitted by runStudy only under
@@ -167,14 +148,30 @@ class ReportSink
         (void)name;
         (void)result;
     }
+
+    /**
+     * Sink hook behind artifact(): `json` without its trailing
+     * newline, `path` the file written ("" without a jsonDir or when
+     * the write failed).
+     */
+    virtual void
+    onArtifact(const std::string &name, std::string_view kind,
+               std::string_view json, const std::string &path)
+    {
+        (void)name;
+        (void)kind;
+        (void)json;
+        (void)path;
+    }
+
+  private:
+    std::string jsonDir;
 };
 
 /**
  * Text rendering to a FILE*, byte-identical to the legacy benches.
- * When `json_dir` is non-empty, structured artifacts additionally
- * land there as <name>.json files with a "[json: path]" marker line
- * (the old CDCS_JSON_DIR behavior, now covering traces and chip maps
- * too).
+ * Each artifact written under `json_dir` prints a "[json: path]"
+ * marker line.
  */
 class TextReportSink : public ReportSink
 {
@@ -184,23 +181,14 @@ class TextReportSink : public ReportSink
 
     void text(std::string_view s) override;
     void flush() override;
-    void onSweep(const std::string &name,
-                 const SweepResult &result) override;
-    void trace(const std::string &name,
-               const RunResult &run) override;
-    void chipMap(const std::string &name,
-                 const ChipMap &map) override;
-    void nocHeatmap(const std::string &name,
-                    const NocHeatmap &map) override;
-    void artifact(const std::string &name,
-                  const std::string &json) override;
+
+  protected:
+    void onArtifact(const std::string &name, std::string_view kind,
+                    std::string_view json,
+                    const std::string &path) override;
 
   private:
-    void exportArtifact(const std::string &name,
-                        const std::string &json);
-
     std::FILE *out;
-    std::string jsonDir;
 };
 
 /** Text capture into a string (tests, golden comparisons). */
@@ -216,11 +204,10 @@ class StringReportSink : public ReportSink
 };
 
 /**
- * One JSON document per batch: studies with their sweeps, traces and
- * chip maps; the free-form text stream is dropped. Written to `out`
- * by finish(). A non-empty `json_dir` additionally writes each
- * artifact as a <name>.json file (silently: stdout carries the
- * document).
+ * One JSON document per batch: studies with their artifacts, each
+ * embedded under its kind; the free-form text stream is dropped.
+ * Written to `out` by finish(). A non-empty `json_dir` additionally
+ * gets the artifact files (silently: stdout carries the document).
  */
 class JsonReportSink : public ReportSink
 {
@@ -229,23 +216,17 @@ class JsonReportSink : public ReportSink
                             std::string json_dir = "");
 
     void beginStudy(const StudySpec &spec) override;
-    void onSweep(const std::string &name,
-                 const SweepResult &result) override;
-    void trace(const std::string &name,
-               const RunResult &run) override;
-    void chipMap(const std::string &name,
-                 const ChipMap &map) override;
-    void nocHeatmap(const std::string &name,
-                    const NocHeatmap &map) override;
-    void artifact(const std::string &name,
-                  const std::string &json) override;
     void timing(const std::string &study,
                 const StudyTiming &t) override;
     void finish() override;
 
+  protected:
+    void onArtifact(const std::string &name, std::string_view kind,
+                    std::string_view json,
+                    const std::string &path) override;
+
   private:
     std::FILE *out;
-    std::string jsonDir;
     std::string doc;
     bool anyStudy = false;
     bool anyArtifact = false;
@@ -254,8 +235,8 @@ class JsonReportSink : public ReportSink
 /**
  * CSV summary rows, one per (sweep, scheme): gmean/max weighted
  * speedup plus the latency/traffic/energy aggregates. The free-form
- * text stream is dropped; a non-empty `json_dir` still exports every
- * structured artifact as a <name>.json file.
+ * text stream (and so the timing footer) is dropped; a non-empty
+ * `json_dir` still gets the artifact files.
  */
 class CsvReportSink : public ReportSink
 {
@@ -264,28 +245,14 @@ class CsvReportSink : public ReportSink
                            std::string json_dir = "");
 
     void beginStudy(const StudySpec &spec) override;
+    void finish() override;
+
+  protected:
     void onSweep(const std::string &name,
                  const SweepResult &result) override;
-    void trace(const std::string &name,
-               const RunResult &run) override;
-    void chipMap(const std::string &name,
-                 const ChipMap &map) override;
-    void nocHeatmap(const std::string &name,
-                    const NocHeatmap &map) override;
-    void artifact(const std::string &name,
-                  const std::string &json) override;
-    /** CSV rows carry no timing; the footer is dropped. */
-    void
-    timing(const std::string &study, const StudyTiming &t) override
-    {
-        (void)study;
-        (void)t;
-    }
-    void finish() override;
 
   private:
     std::FILE *out;
-    std::string jsonDir;
     std::string currentStudy;
     bool wroteHeader = false;
 };

@@ -27,20 +27,11 @@ SchemeRegistry::SchemeRegistry()
                    [] { return SchemeSpec::factor(true, true, true); });
 }
 
-SchemeRegistry &
+const SchemeRegistry &
 SchemeRegistry::instance()
 {
-    static SchemeRegistry registry;
+    static const SchemeRegistry registry;
     return registry;
-}
-
-void
-SchemeRegistry::add(const std::string &name,
-                    std::function<SchemeSpec()> make)
-{
-    const auto inserted = makers.emplace(name, std::move(make));
-    cdcs_assert(inserted.second, "scheme '%s' already registered",
-                name.c_str());
 }
 
 bool

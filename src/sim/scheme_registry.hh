@@ -25,15 +25,11 @@ namespace cdcs
 class SchemeRegistry
 {
   public:
-    /** The registry, with the built-in schemes pre-registered. */
-    static SchemeRegistry &instance();
-
     /**
-     * Register a scheme under a unique key (conventionally lowercase
-     * CLI-friendly, e.g. "cdcs-bank"). Panics on duplicates.
+     * The registry of the built-in schemes; a new variant is one
+     * more entry in its constructor.
      */
-    void add(const std::string &name,
-             std::function<SchemeSpec()> make);
+    static const SchemeRegistry &instance();
 
     /**
      * Build the scheme registered under `name`; falls back to

@@ -101,9 +101,9 @@ struct SystemConfig
     NocConfig noc;
 
     /**
-     * Network model, by NocRegistry name: "zero-load" (the paper's
-     * Table 2 analytic mesh, the default) or "contention" (per-link
-     * queueing delays from measured loads).
+     * Network model Platform builds (the `noc=` choices): "zero-load"
+     * (the paper's Table 2 analytic mesh, the default) or
+     * "contention" (per-link queueing delays from measured loads).
      */
     std::string nocModel = "zero-load";
     /**
@@ -131,14 +131,16 @@ struct SystemConfig
     int memChannels = 8;
 
     /**
-     * Page-to-memory-controller placement policy, by
-     * MemPlacementRegistry name: "interleave" (the page hash, the
+     * Page-to-memory-controller placement policy Platform builds (the
+     * `memPlacement=` choices): "interleave" (the page hash, the
      * default), "first-touch" (NUMA-aware placement, the extension
      * Sec. III leaves to future work, cf. the Fig. 11d discussion:
-     * pin each page to its first toucher's nearest controller) or
-     * "contention" (first-touch plus an epoch rebalance that re-pins
-     * hot pages away from saturated controllers, scored on measured
-     * NoC route waits and per-controller queue load).
+     * pin each page to its first toucher's nearest controller),
+     * "d2choice" (first-touch onto the lighter of two hashed
+     * candidate controllers) or "contention" (first-touch plus an
+     * epoch rebalance that re-pins hot pages away from saturated
+     * controllers, scored on measured NoC route waits and
+     * per-controller queue load).
      */
     std::string memPlacement = "interleave";
 
@@ -162,7 +164,8 @@ struct SystemConfig
     /** Far-tier aggregate service rate (lines/cycle). */
     double farMemLinesPerCycle = 0.2;
     /**
-     * Capacity-tiering policy, by MemTieringRegistry name: "static"
+     * Capacity-tiering policy Platform builds when a far tier is
+     * configured (the `memTiering=` choices): "static"
      * (a fixed hash split — residency never changes) or "hotness"
      * (EWMA hotness-ranked promotion/demotion per epoch, with
      * hysteresis, cooldown and a DRAM-row migration budget).

@@ -1,10 +1,9 @@
 /**
  * @file
- * Tests for the pluggable memory placement layer: registry
- * round-trip and rejection, interleave parity with the legacy page
- * hash, the M/D/m memory queue's monotonicity in the channel count,
- * and the contention policy steering hot pages off a saturated
- * controller.
+ * Tests for the pluggable memory placement layer: interleave parity
+ * with the legacy page hash, the M/D/m memory queue's monotonicity
+ * in the channel count, and the contention policy steering hot pages
+ * off a saturated controller.
  */
 
 #include <gtest/gtest.h>
@@ -12,52 +11,14 @@
 #include <limits>
 
 #include "mem/mem_placement.hh"
-#include "mem/mem_placement_registry.hh"
 #include "mem/mem_queue.hh"
 #include "net/contention_noc.hh"
 #include "sim/experiment.hh"
-#include "sim/overrides.hh"
 
 namespace cdcs
 {
 namespace
 {
-
-TEST(MemPlacementRegistryTest, BuiltInPoliciesRegistered)
-{
-    MemPlacementRegistry &registry = MemPlacementRegistry::instance();
-    EXPECT_TRUE(registry.contains("interleave"));
-    EXPECT_TRUE(registry.contains("first-touch"));
-    EXPECT_TRUE(registry.contains("contention"));
-    EXPECT_FALSE(registry.contains("no-such-policy"));
-
-    const Mesh mesh(4, 4);
-    const MemPlacementBuildParams params;
-    for (const char *name :
-         {"interleave", "first-touch", "contention"}) {
-        const auto policy = registry.build(name, mesh, params);
-        EXPECT_STREQ(policy->name(), name);
-    }
-    const auto names = registry.names();
-    ASSERT_GE(names.size(), 3u);
-    for (std::size_t i = 1; i < names.size(); i++)
-        EXPECT_LT(names[i - 1], names[i]);
-}
-
-TEST(MemPlacementRegistryTest, OverrideRejectsUnknownPolicy)
-{
-    Overrides ov;
-    std::string err;
-    EXPECT_TRUE(ov.add("memPlacement=contention", &err)) << err;
-    EXPECT_FALSE(ov.add("memPlacement=no-such-policy", &err));
-    EXPECT_NE(err.find("no-such-policy"), std::string::npos);
-    // The error lists the registered policies.
-    EXPECT_NE(err.find("interleave"), std::string::npos);
-
-    SystemConfig cfg;
-    ov.apply(cfg);
-    EXPECT_EQ(cfg.memPlacement, "contention");
-}
 
 TEST(MemPlacementTest, InterleaveMatchesLegacyPageHash)
 {

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the far-memory tiering layer: registry round-trip and
- * override validation, legacy placement bit-identity through the
- * two-level placementFor, the no-far-tier off state matching the
+ * Tests for the far-memory tiering layer: override validation,
+ * legacy placement bit-identity through the two-level
+ * placementFor, the no-far-tier off state matching the
  * default run byte-for-byte, the DRAM-row migration throttle, the
  * hotness policy's hysteresis/cooldown/budget determinism, per-tier
  * M/D/m queue isolation, serial-vs-parallel sweep identity for a
@@ -13,15 +13,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.hh"
 #include "mem/mem_migration.hh"
 #include "mem/mem_placement.hh"
-#include "mem/mem_placement_registry.hh"
 #include "mem/mem_tiering.hh"
-#include "mem/mem_tiering_registry.hh"
 #include "net/contention_noc.hh"
 #include "sim/experiment.hh"
 #include "sim/experiment_runner.hh"
@@ -31,26 +30,6 @@ namespace cdcs
 {
 namespace
 {
-
-TEST(MemTieringRegistryTest, BuiltInPoliciesRegistered)
-{
-    EXPECT_TRUE(MemTieringRegistry::known("static"));
-    EXPECT_TRUE(MemTieringRegistry::known("hotness"));
-    EXPECT_FALSE(MemTieringRegistry::known("no-such-policy"));
-
-    const Mesh mesh(4, 4);
-    MemTieringParams params;
-    params.farRatio = 0.5;
-    for (const char *name : {"static", "hotness"}) {
-        const auto policy =
-            MemTieringRegistry::build(name, mesh, params);
-        EXPECT_STREQ(policy->name(), name);
-    }
-    const auto names = MemTieringRegistry::names();
-    ASSERT_GE(names.size(), 2u);
-    for (std::size_t i = 1; i < names.size(); i++)
-        EXPECT_LT(names[i - 1], names[i]);
-}
 
 TEST(MemTieringOverridesTest, ValidatesTierKnobs)
 {
@@ -68,7 +47,7 @@ TEST(MemTieringOverridesTest, ValidatesTierKnobs)
     EXPECT_FALSE(ov.add("farMemLinesPerCycle=0", &err));
     EXPECT_FALSE(ov.add("farMemChannels=0", &err));
 
-    // An unknown tiering policy is rejected with the registry listed.
+    // An unknown tiering policy is rejected with the choices listed.
     EXPECT_FALSE(ov.add("memTiering=no-such-policy", &err));
     EXPECT_NE(err.find("no-such-policy"), std::string::npos);
     EXPECT_NE(err.find("hotness"), std::string::npos);
@@ -87,11 +66,12 @@ TEST(MemTieringTest, LegacyPoliciesPinNearWithoutTiering)
     // two-level placementFor must be the controller decision alone:
     // same controller as controllerFor, tier pinned to Near.
     const Mesh mesh(8, 8);
-    MemPlacementRegistry &registry = MemPlacementRegistry::instance();
-    const MemPlacementBuildParams params;
-    for (const char *name :
-         {"interleave", "first-touch", "contention"}) {
-        const auto policy = registry.build(name, mesh, params);
+    std::vector<std::unique_ptr<MemPlacementPolicy>> policies;
+    policies.push_back(std::make_unique<InterleaveMemPlacement>(mesh));
+    policies.push_back(std::make_unique<FirstTouchMemPlacement>(mesh));
+    policies.push_back(std::make_unique<ContentionMemPlacement>(
+        mesh, ContentionMemPlacementParams{}));
+    for (const auto &policy : policies) {
         ASSERT_EQ(policy->tieringPolicy(), nullptr);
         for (LineAddr line = 0; line < 200000; line += 1009) {
             const TileId core =

@@ -3,8 +3,8 @@
  * Tests for the pluggable NoC layer: zero-load parity with the legacy
  * Mesh arithmetic, contention-model monotonicity and clamping,
  * per-link accounting conservation (link flits sum to flit-hops), the
- * deferred pair-matrix accounting against a per-message route walk,
- * and the model registry.
+ * and the deferred pair-matrix accounting against a per-message
+ * route walk.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 
 #include "common/rng.hh"
 #include "net/contention_noc.hh"
-#include "net/noc_registry.hh"
 #include "net/zero_load_noc.hh"
 #include "obs/stat_registry.hh"
 
@@ -676,27 +675,6 @@ TEST(ContentionNocTest, PairFoldMatchesPerMessageRouteWalk)
         }
     }
     StatRegistry::setEnabled(false);
-}
-
-TEST(NocRegistryTest, BuiltInModelsRegistered)
-{
-    NocRegistry &registry = NocRegistry::instance();
-    EXPECT_TRUE(registry.contains("zero-load"));
-    EXPECT_TRUE(registry.contains("contention"));
-    EXPECT_FALSE(registry.contains("no-such-model"));
-
-    const Mesh mesh(4, 4);
-    NocBuildParams params;
-    params.injScale = 2.0;
-    const auto zero = registry.build("zero-load", mesh, params);
-    EXPECT_STREQ(zero->name(), "zero-load");
-    const auto cont = registry.build("contention", mesh, params);
-    EXPECT_STREQ(cont->name(), "contention");
-    // Names are sorted and include both built-ins.
-    const auto names = registry.names();
-    ASSERT_GE(names.size(), 2u);
-    for (std::size_t i = 1; i < names.size(); i++)
-        EXPECT_LT(names[i - 1], names[i]);
 }
 
 } // anonymous namespace

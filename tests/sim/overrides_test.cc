@@ -3,7 +3,8 @@
  * Tests for the typed key=value override parser behind
  * `cdcs_studies --set`: good and bad keys, type mismatches,
  * last-one-wins ordering, the cross-key bank-geometry check, and the
- * default < environment < override precedence of the knob resolution.
+ * default < environment < override precedence of the knob resolution,
+ * and the model-name lists against the models Platform builds.
  */
 
 #include <cstdlib>
@@ -12,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/experiment.hh"
 #include "sim/overrides.hh"
+#include "sim/platform.hh"
 
 namespace cdcs
 {
@@ -174,6 +177,81 @@ TEST(OverridesTest, BoolKnobAcceptsWordForms)
     std::string err;
     ASSERT_TRUE(ov.add("cache=true", &err)) << err;
     EXPECT_EQ(ov.knob("cache", nullptr, 0), 1u);
+}
+
+TEST(OverridesTest, ModelNameListsMatchPlatform)
+{
+    SystemConfig base;
+    base.meshWidth = 4;
+    base.meshHeight = 4;
+    base.bankLines = 1024;
+    const SchemeSpec scheme = SchemeSpec::snuca();
+    const WorkloadMix mix = buildMix(MixSpec::cpu(4, 7));
+
+    struct ModelKey
+    {
+        const char *key;
+        void (*set)(SystemConfig &, const std::string &);
+        /** Name of the model Platform built; null when it builds none. */
+        const char *(*built)(const Platform &);
+    };
+    const ModelKey keys[] = {
+        {"noc",
+         [](SystemConfig &c, const std::string &v) { c.nocModel = v; },
+         [](const Platform &p) { return p.noc->name(); }},
+        {"memPlacement",
+         [](SystemConfig &c, const std::string &v) {
+             c.memPlacement = v;
+         },
+         [](const Platform &p) { return p.memPlacement->name(); }},
+        {"memTiering",
+         [](SystemConfig &c, const std::string &v) {
+             c.memTiering = v;
+             c.farMemRatio = 0.5; // Only a far tier builds one.
+         },
+         [](const Platform &p) { return p.tiering->name(); }},
+        {"placementCost",
+         [](SystemConfig &c, const std::string &v) {
+             c.placementCost = v;
+         },
+         nullptr},
+    };
+    for (const ModelKey &k : keys) {
+        const std::vector<std::string> names = Overrides::choices(k.key);
+        ASSERT_FALSE(names.empty()) << k.key;
+        for (const std::string &name : names) {
+            Overrides ov;
+            std::string err;
+            EXPECT_TRUE(ov.add(std::string(k.key) + "=" + name, &err))
+                << err;
+            if (std::string(k.key) == "memTiering") {
+                EXPECT_TRUE(ov.add("farMemRatio=0.5", &err)) << err;
+            }
+            SystemConfig cfg = base;
+            ov.apply(cfg);
+            const Platform platform(cfg, scheme, mix);
+            if (k.built != nullptr) {
+                EXPECT_EQ(std::string(k.built(platform)), name);
+            }
+        }
+
+        // A bogus name is rejected before any run, naming itself and
+        // every accepted value...
+        Overrides ov;
+        std::string err;
+        EXPECT_FALSE(ov.add(std::string(k.key) + "=bogus", &err));
+        EXPECT_NE(err.find("'bogus'"), std::string::npos) << err;
+        for (const std::string &name : names)
+            EXPECT_NE(err.find(" " + name), std::string::npos) << err;
+        // ...and dies in Platform when a programmatic config sets it.
+        SystemConfig cfg = base;
+        k.set(cfg, "bogus");
+        EXPECT_DEATH(Platform(cfg, scheme, mix), "unknown .* 'bogus'")
+            << k.key;
+    }
+    EXPECT_EQ(Overrides::choices("placementCost"),
+              (std::vector<std::string>{"noc", "zero-load"}));
+    EXPECT_TRUE(Overrides::choices("churn").empty());
 }
 
 TEST(OverridesTest, KnownKeysCoverConfigAndKnobs)

@@ -7,7 +7,10 @@
  */
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -118,12 +121,13 @@ TEST(ReportTest, TextSinkExportsArtifactsWithMarkers)
         RunResult run;
         run.ipcTrace = {1.0, 2.5};
         run.ipcBinCycles = 1000;
-        sink.trace("report_test_trace", run);
+        sink.artifact("report_test_trace", "trace",
+                      traceToJson("report_test_trace", run));
         ChipMap map;
         map.width = map.height = 1;
         map.threadLabel = {"A0"};
         map.dataLabel = {"ap"};
-        sink.chipMap("report_test_map", map);
+        sink.artifact("report_test_map", "chipmap", map.toJson());
         sink.flush();
     }
     // Every artifact printed its marker line...
@@ -169,7 +173,8 @@ TEST(ReportTest, JsonAndCsvSinksExportArtifactFiles)
         sink.sweep("report_test_csvsink", tinySweep("S-NUCA"));
         RunResult run;
         run.ipcTrace = {0.5};
-        sink.trace("report_test_csvtrace", run);
+        sink.artifact("report_test_csvtrace", "trace",
+                      traceToJson("report_test_csvtrace", run));
         sink.finish();
         std::fclose(stream);
     }
@@ -181,6 +186,260 @@ TEST(ReportTest, JsonAndCsvSinksExportArtifactFiles)
         EXPECT_NE(f, nullptr) << name;
         if (f != nullptr)
             std::fclose(f);
+    }
+}
+
+std::string
+readStream(std::FILE *stream)
+{
+    std::rewind(stream);
+    std::string out;
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), stream)) > 0)
+        out.append(buf, n);
+    return out;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (f == nullptr)
+        return "<missing>";
+    std::string out = readStream(f);
+    std::fclose(f);
+    return out;
+}
+
+/**
+ * One study through every artifact channel of `sink`: a sweep whose
+ * mix-0 run sampled stats (so a metrics_trace_* artifact follows it),
+ * a trace, a chip map, a NoC heatmap with one far link, a free-form
+ * artifact and a timing footer. Every value is a short binary
+ * fraction, so the %.17g renderings are exact.
+ */
+void
+driveEveryChannel(ReportSink &sink)
+{
+    StudySpec spec;
+    spec.name = "pin";
+    spec.title = "Pin";
+    spec.paperRef = "every channel";
+    spec.category = "ablation";
+    sink.beginStudy(spec);
+
+    SweepResult sweep;
+    SchemeSpec scheme;
+    scheme.name = "S-NUCA";
+    sweep.schemes = {scheme};
+    sweep.ws = {{1.0, 1.0}};
+    sweep.onChipLat = {1.5};
+    sweep.offChipLat = {2.25};
+    sweep.trafficPerInstr = {{0.5, 0.25, 0.125}};
+    sweep.energyPerInstr = {0.75};
+    sweep.energyParts = {{0.5, 0.25, 0, 0, 0}};
+    sweep.firstRun.resize(1);
+    RunResult &first = sweep.firstRun[0];
+    first.statNames = {"llc.hits"};
+    EpochRecord sampled;
+    sampled.epoch = 1;
+    sampled.activeThreads = 4;
+    sampled.aggIpc = 1.5;
+    sampled.stats = {7};
+    EpochRecord skipped;
+    skipped.epoch = 2;
+    skipped.activeThreads = 3;
+    skipped.churnDelta = -1;
+    skipped.aggIpc = 0.5;
+    skipped.placementMoves = 2;
+    skipped.movedLines = 64;
+    first.epochTrace = {sampled, skipped};
+    sink.sweep("pin_sweep", sweep);
+
+    RunResult run;
+    run.ipcBinCycles = 1000;
+    run.ipcTrace = {1.0, 2.5};
+    sink.artifact("pin_trace", "trace", traceToJson("pin_trace", run));
+
+    ChipMap map;
+    map.width = 2;
+    map.height = 1;
+    map.threadLabel = {"A0", "--"};
+    map.dataLabel = {"ap", ".."};
+    sink.artifact("pin_map", "chipmap", map.toJson());
+
+    NocHeatmap heat;
+    heat.width = 2;
+    heat.height = 1;
+    NocLinkStat mesh_link;
+    mesh_link.src = 0;
+    mesh_link.dst = 1;
+    mesh_link.flits = 10;
+    mesh_link.util = 0.25;
+    mesh_link.waitCycles = 0.5;
+    NocLinkStat far_link;
+    far_link.src = 1;
+    far_link.memCtrl = 0;
+    far_link.flits = 4;
+    far_link.util = 0.125;
+    far_link.waitCycles = 2.0;
+    far_link.far = true;
+    heat.links = {mesh_link, far_link};
+    sink.artifact("pin_heat", "nocheatmap", heat.toJson());
+
+    sink.artifact("pin_art", "artifact", "{\"k\": [1, 2]}");
+
+    StudyTiming t;
+    t.wallSec = 2.0;
+    t.accessSec = 1.0;
+    t.reconfigSec = 0.5;
+    t.cacheIoSec = 0.25;
+    t.poolSteals = 3;
+    t.poolWakeups = 4;
+    t.poolIdleSec = 0.125;
+    sink.timing("pin", t);
+
+    sink.endStudy(spec);
+    sink.finish();
+}
+
+TEST(ReportTest, EverySinkPinsStdoutAndJsonDirBytes)
+{
+    const std::string sweep_json =
+        "{\n"
+        "  \"mixes\": 2,\n"
+        "  \"schemes\": [\n"
+        "    {\n"
+        "      \"name\": \"S-NUCA\",\n"
+        "      \"ws\": [1,1],\n"
+        "      \"gmeanWs\": 1,\n"
+        "      \"onChipLat\": 1.5,\n"
+        "      \"offChipLat\": 2.25,\n"
+        "      \"trafficPerInstr\": [0.5,0.25,0.125],\n"
+        "      \"energyPerInstr\": 0.75,\n"
+        "      \"energyParts\": {\"static\": 0.5, \"core\": 0.25, "
+        "\"net\": 0, \"llc\": 0, \"mem\": 0}\n"
+        "    }\n"
+        "  ]\n"
+        "}";
+    const std::string metrics_json =
+        "{\"schema\": \"cdcs-metrics-trace-v1\", \"scheme\": "
+        "\"S-NUCA\", \"stats\": [\"llc.hits\"], \"trace\": ["
+        "{\"epoch\": 1, \"active\": 4, \"delta\": 0, \"aggIpc\": 1.5, "
+        "\"moves\": 0, \"movedLines\": 0, \"stats\": [7]}, "
+        "{\"epoch\": 2, \"active\": 3, \"delta\": -1, \"aggIpc\": 0.5, "
+        "\"moves\": 2, \"movedLines\": 64}]}";
+    const std::string trace_json =
+        "{\"name\": \"pin_trace\", \"binCycles\": 1000, "
+        "\"ipc\": [1,2.5]}";
+    const std::string map_json =
+        "{\"width\": 2, \"height\": 1, \"threadLabel\": [\"A0\",\"--\"], "
+        "\"dataLabel\": [\"ap\",\"..\"]}";
+    const std::string heat_json =
+        "{\"width\": 2, \"height\": 1, \"links\": ["
+        "{\"src\": 0, \"dst\": 1, \"memCtrl\": -1, \"flits\": 10, "
+        "\"util\": 0.25, \"wait\": 0.5},"
+        "{\"src\": 1, \"dst\": -1, \"memCtrl\": 0, \"flits\": 4, "
+        "\"util\": 0.125, \"wait\": 2, \"far\": true}]}";
+    const std::string art_json = "{\"k\": [1, 2]}";
+    // Export order, and the same bytes (one trailing newline) under
+    // every sink's jsonDir.
+    const std::vector<std::pair<std::string, std::string>> files = {
+        {"pin_sweep", sweep_json},
+        {"metrics_trace_pin_sweep_s-nuca", metrics_json},
+        {"pin_trace", trace_json},
+        {"pin_map", map_json},
+        {"pin_heat", heat_json},
+        {"pin_art", art_json},
+    };
+
+    const auto run_sink = [&](const char *flavor,
+                              std::string *out_dir) {
+        const std::string dir =
+            ::testing::TempDir() + "report_pin_" + flavor;
+        std::filesystem::remove_all(dir);
+        std::filesystem::create_directories(dir);
+        *out_dir = dir;
+        std::FILE *stream = std::tmpfile();
+        EXPECT_NE(stream, nullptr);
+        if (stream == nullptr)
+            return std::string();
+        if (std::string(flavor) == "text") {
+            TextReportSink sink(stream, dir);
+            driveEveryChannel(sink);
+            sink.flush();
+        } else if (std::string(flavor) == "json") {
+            JsonReportSink sink(stream, dir);
+            driveEveryChannel(sink);
+        } else {
+            CsvReportSink sink(stream, dir);
+            driveEveryChannel(sink);
+        }
+        std::string out = readStream(stream);
+        std::fclose(stream);
+        return out;
+    };
+
+    std::string text_dir;
+    const std::string text_out = run_sink("text", &text_dir);
+    std::string expected_text;
+    for (const auto &[name, json] : files)
+        expected_text += "[json: " + text_dir + "/" + name + ".json]\n";
+    expected_text +=
+        "[timing: wall 2.000 s; access 1.000 s (50.0%), "
+        "reconfig 0.500 s (25.0%), cache-io 0.250 s (12.5%); "
+        "pool 3 steals, 4 wakeups, idle 0.125 s]\n";
+    EXPECT_EQ(text_out, expected_text);
+
+    std::string json_dir;
+    const std::string json_out = run_sink("json", &json_dir);
+    const std::string expected_json =
+        "{\"studies\": [\n"
+        "  {\"name\": \"pin\", \"title\": \"Pin\", \"paperRef\": "
+        "\"every channel\", \"category\": \"ablation\", "
+        "\"artifacts\": [\n"
+        "   {\"name\": \"pin_sweep\", \"kind\": \"sweep\", \"data\": " +
+        sweep_json + "},\n"
+        "   {\"name\": \"metrics_trace_pin_sweep_s-nuca\", \"kind\": "
+        "\"artifact\", \"data\": " + metrics_json + "},\n"
+        "   {\"name\": \"pin_trace\", \"kind\": \"trace\", \"data\": " +
+        trace_json + "},\n"
+        "   {\"name\": \"pin_map\", \"kind\": \"chipmap\", \"data\": " +
+        map_json + "},\n"
+        "   {\"name\": \"pin_heat\", \"kind\": \"nocheatmap\", "
+        "\"data\": " + heat_json + "},\n"
+        "   {\"name\": \"pin_art\", \"kind\": \"artifact\", \"data\": " +
+        art_json + "},\n"
+        "   {\"name\": \"timing\", \"kind\": \"timing\", \"data\": "
+        "{\"wallSec\": 2, \"accessSec\": 1, \"reconfigSec\": 0.5, "
+        "\"cacheIoSec\": 0.25, \"poolSteals\": 3, \"poolWakeups\": 4, "
+        "\"poolIdleSec\": 0.125}}\n"
+        "  ]}\n"
+        "]}\n";
+    EXPECT_EQ(json_out, expected_json);
+
+    std::string csv_dir;
+    const std::string csv_out = run_sink("csv", &csv_dir);
+    EXPECT_EQ(csv_out,
+              "study,sweep,scheme,mixes,gmeanWS,maxWS,onChipLat,"
+              "offChipLat,trafficL2LLC,trafficLLCMem,trafficOther,"
+              "energyPerInstr\n"
+              "pin,pin_sweep,S-NUCA,2,1,1,1.5,2.25,0.5,0.25,0.125,"
+              "0.75\n");
+
+    for (const std::string &dir : {text_dir, json_dir, csv_dir}) {
+        std::size_t exported = 0;
+        for (const auto &entry :
+             std::filesystem::directory_iterator(dir)) {
+            (void)entry;
+            exported++;
+        }
+        EXPECT_EQ(exported, files.size()) << dir;
+        for (const auto &[name, json] : files) {
+            EXPECT_EQ(readFile(dir + "/" + name + ".json"), json + "\n")
+                << dir << " " << name;
+        }
     }
 }
 

@@ -247,6 +247,38 @@ TEST(RunnerTest, ResultCacheEvictsFifoAtBudget)
     EXPECT_EQ(stats.entries, 2u);
 }
 
+TEST(RunnerTest, LongChurnSchedulesGetTheirOwnCacheCells)
+{
+    // Padding events at an epoch the run never reaches push the two
+    // schedules' only difference, their last event, well past the
+    // first 256 bytes of the cache key.
+    std::string pad;
+    while (pad.size() < 280)
+        pad += "99:+1,";
+    SystemConfig mild = smallConfig();
+    mild.churn = pad + "2:-2";
+    SystemConfig heavy = smallConfig();
+    heavy.churn = pad + "2:-12";
+    const SchemeSpec scheme = SchemeSpec::cdcs();
+    const MixSpec mix = MixSpec::cpu(16, 1600);
+
+    ExperimentRunner::Options opts;
+    opts.workers = 1;
+    opts.cacheResults = true;
+    ExperimentRunner cached(opts);
+    const RunResult a = cached.run(mild, scheme, mix);
+    const RunResult b = cached.run(heavy, scheme, mix);
+    const ExperimentRunner::CacheStats stats = cached.cacheStats();
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.entries, 2u);
+
+    ExperimentRunner fresh(
+        runnerOpts(/*workers=*/1, /*memoize=*/false));
+    expectSameRun(a, fresh.run(mild, scheme, mix));
+    expectSameRun(b, fresh.run(heavy, scheme, mix));
+    EXPECT_NE(a.totalInstrs, b.totalInstrs);
+}
+
 TEST(RunnerTest, DefaultModeCountsOnlyBaselineMemo)
 {
     const SystemConfig cfg = smallConfig();

@@ -38,7 +38,7 @@ TEST(SchemeRegistryTest, RegistersTheBuiltInSchemes)
 
 TEST(SchemeRegistryTest, EveryNameBuildsAndReResolves)
 {
-    SchemeRegistry &registry = SchemeRegistry::instance();
+    const SchemeRegistry &registry = SchemeRegistry::instance();
     for (const std::string &name : registry.names()) {
         SchemeSpec spec;
         ASSERT_TRUE(registry.build(name, &spec)) << name;
@@ -92,22 +92,6 @@ TEST(SchemeRegistryTest, LineupPreservesOrder)
     EXPECT_EQ(lineup[0].name, "CDCS");
     EXPECT_EQ(lineup[1].name, "S-NUCA");
     EXPECT_EQ(lineup[2].name, "Jigsaw+R");
-}
-
-TEST(SchemeRegistryTest, UserSchemesCanBeRegistered)
-{
-    SchemeRegistry &registry = SchemeRegistry::instance();
-    if (!registry.contains("test-bank-cdcs")) {
-        registry.add("test-bank-cdcs", [] {
-            SchemeSpec spec = schemeByName("cdcs");
-            spec.cdcsOpts.placeGranule = 2048.0;
-            spec.name = "CDCS-bank(test)";
-            return spec;
-        });
-    }
-    const SchemeSpec spec = schemeByName("test-bank-cdcs");
-    EXPECT_EQ(spec.name, "CDCS-bank(test)");
-    EXPECT_DOUBLE_EQ(spec.cdcsOpts.placeGranule, 2048.0);
 }
 
 } // anonymous namespace

@@ -442,14 +442,18 @@ TEST(NocStudyTest, ContentionLatencyMonotoneInInjectionScale)
 class MetricsTraceSink : public StringReportSink
 {
   public:
-    void
-    artifact(const std::string &name, const std::string &json) override
-    {
-        if (name.rfind("metrics_trace_", 0) == 0)
-            traces[name] = json;
-    }
-
     std::map<std::string, std::string> traces;
+
+  protected:
+    void
+    onArtifact(const std::string &name, std::string_view kind,
+               std::string_view json, const std::string &path) override
+    {
+        (void)kind;
+        (void)path;
+        if (name.rfind("metrics_trace_", 0) == 0)
+            traces[name] = std::string(json);
+    }
 };
 
 std::map<std::string, std::string>
