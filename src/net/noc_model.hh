@@ -44,6 +44,8 @@ struct NocLinkStat
     double waitCycles = 0.0;
     /** True for a far-tier attach link (memCtrl is the controller). */
     bool far = false;
+
+    bool operator==(const NocLinkStat &) const = default;
 };
 
 /**

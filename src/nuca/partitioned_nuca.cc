@@ -1,8 +1,6 @@
 #include "nuca/partitioned_nuca.hh"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/log.hh"
 
@@ -29,16 +27,6 @@ PartitionedNucaPolicy::PartitionedNucaPolicy(
     for (auto &desc : descriptors)
         desc = bootstrap;
 
-    vtbs.resize(wiring.size());
-    for (std::size_t t = 0; t < wiring.size(); t++) {
-        vtbs[t].install(wiring[t].privateVc,
-                        descriptors[wiring[t].privateVc]);
-        vtbs[t].install(wiring[t].processVc,
-                        descriptors[wiring[t].processVc]);
-        vtbs[t].install(wiring[t].globalVc,
-                        descriptors[wiring[t].globalVc]);
-    }
-
     currentAlloc.assign(numVcs, std::vector<double>(num_banks, 0.0));
 }
 
@@ -46,12 +34,17 @@ MapResult
 PartitionedNucaPolicy::map(ThreadId thread, TileId /*core*/, VcId vc,
                            LineAddr line)
 {
-    cdcs_assert(thread < vtbs.size(), "thread out of range");
-    const VtbLookup lookup = vtbs[thread].lookup(vc, line);
+    cdcs_assert(thread < wiring.size(), "thread out of range");
+    const ThreadVcWiring &vcs = wiring[thread];
+    if (vc != vcs.privateVc && vc != vcs.processVc && vc != vcs.globalVc)
+        panic("VTB miss for VC %u: thread accessed an unmapped VC", vc);
     MapResult res;
-    res.bank = lookup.bank;
-    if (walkActive)
-        res.oldBank = lookup.oldBank;
+    res.bank = descriptors[vc].bankOf(line);
+    if (walkActive) {
+        const TileId old_bank = previous[vc].bankOf(line);
+        if (old_bank != res.bank)
+            res.oldBank = old_bank;
+    }
     return res;
 }
 
@@ -73,12 +66,6 @@ PartitionedNucaPolicy::applyAllocation(
             }
             if (diff <= cfg.allocHysteresis * std::max(size, 1.0))
                 continue;
-            if (std::getenv("CDCS_DEBUG_RECONFIG") != nullptr) {
-                std::fprintf(stderr,
-                             "reconfig: vc %d remapped, size %.0f, "
-                             "diff %.0f\n",
-                             d, size, diff);
-            }
         }
         currentAlloc[d] = alloc[d];
         descriptors[d] = VcDescriptor::fromShares(alloc[d]);
@@ -165,8 +152,6 @@ PartitionedNucaPolicy::endEpoch(const RuntimeInput &input,
                 },
                 dropped);
         }
-        for (auto &vtb : vtbs)
-            vtb.finishReconfig();
         walkActive = false;
     }
 
@@ -177,30 +162,17 @@ PartitionedNucaPolicy::endEpoch(const RuntimeInput &input,
     directive.times = out.times;
     directive.newThreadCore = out.threadCore;
 
+    // The shadow descriptors (Sec. IV-H) of a walk this reconfiguration
+    // starts: where every line lived until now.
+    previous = descriptors;
     applyAllocation(out.alloc, banks);
 
     switch (cfg.moves) {
       case MoveScheme::Instant:
-        for (std::size_t t = 0; t < vtbs.size(); t++) {
-            vtbs[t].install(wiring[t].privateVc,
-                            descriptors[wiring[t].privateVc]);
-            vtbs[t].install(wiring[t].processVc,
-                            descriptors[wiring[t].processVc]);
-            vtbs[t].install(wiring[t].globalVc,
-                            descriptors[wiring[t].globalVc]);
-        }
         directive.movedLines = relocateInstant(banks);
         break;
 
       case MoveScheme::BulkInvalidate:
-        for (std::size_t t = 0; t < vtbs.size(); t++) {
-            vtbs[t].install(wiring[t].privateVc,
-                            descriptors[wiring[t].privateVc]);
-            vtbs[t].install(wiring[t].processVc,
-                            descriptors[wiring[t].processVc]);
-            vtbs[t].install(wiring[t].globalVc,
-                            descriptors[wiring[t].globalVc]);
-        }
         directive.invalidatedLines = invalidateBulk(banks);
         // All bank walkers run in parallel; cores pause for one full
         // array walk (Sec. IV-H / Sec. VI-C: ~100 Kcycles).
@@ -210,14 +182,6 @@ PartitionedNucaPolicy::endEpoch(const RuntimeInput &input,
 
       case MoveScheme::DemandBackground:
       case MoveScheme::BackgroundMoves:
-        for (std::size_t t = 0; t < vtbs.size(); t++) {
-            vtbs[t].beginReconfig(wiring[t].privateVc,
-                                  descriptors[wiring[t].privateVc]);
-            vtbs[t].beginReconfig(wiring[t].processVc,
-                                  descriptors[wiring[t].processVc]);
-            vtbs[t].beginReconfig(wiring[t].globalVc,
-                                  descriptors[wiring[t].globalVc]);
-        }
         for (auto &bank : banks)
             bank.resetWalk();
         walkActive = true;
@@ -274,11 +238,8 @@ PartitionedNucaPolicy::advanceWalk(Cycles elapsed,
         }
     }
     setsWalked = target;
-    if (setsWalked >= bankSets) {
-        for (auto &vtb : vtbs)
-            vtb.finishReconfig();
+    if (setsWalked >= bankSets)
         walkActive = false;
-    }
     return invalidated;
 }
 

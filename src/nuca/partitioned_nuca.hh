@@ -1,15 +1,21 @@
 /**
  * @file
- * The partitioned-NUCA substrate shared by Jigsaw and CDCS: per-thread
- * VTBs over bank-partitioned LLC banks, descriptor-based access
- * spreading, and the three reconfiguration move schemes of Sec. IV-H
- * (instant moves, Jigsaw-style bulk invalidations, and CDCS demand
- * moves with background invalidations).
+ * The partitioned-NUCA substrate shared by Jigsaw and CDCS: per-VC
+ * descriptors over bank-partitioned LLC banks, descriptor-based
+ * access spreading, and the three reconfiguration move schemes of
+ * Sec. IV-H (instant moves, Jigsaw-style bulk invalidations, and CDCS
+ * demand moves with background invalidations).
  *
  * The policy delegates the *decision* (allocation sizes, VC placement,
  * thread placement) to a ReconfigRuntime and handles the *mechanism*
  * here: building descriptors from allocations, programming bank
  * partition targets, shadow descriptors, and walking banks.
+ *
+ * The hardware keeps a per-core VTB (Fig. 3) holding a current and a
+ * shadow descriptor for each of the three VCs its thread may access.
+ * Every VTB copy of a VC's descriptor is the same, so the model keeps
+ * one current and one previous (shadow) descriptor per VC and checks
+ * each access against the thread's VC wiring, as a VTB lookup would.
  */
 
 #ifndef CDCS_NUCA_PARTITIONED_NUCA_HH
@@ -20,7 +26,7 @@
 
 #include "cache/partitioned_bank.hh"
 #include "nuca/policy.hh"
-#include "virtcache/vtb.hh"
+#include "virtcache/vc_descriptor.hh"
 
 namespace cdcs
 {
@@ -59,8 +65,8 @@ struct PartitionedNucaConfig
 
 /**
  * The partitioned-NUCA policy. One instance owns the mapping state of
- * the whole chip: per-thread VTBs, per-VC descriptors and, during
- * reconfigurations, the shadow descriptors and walk cursors.
+ * the whole chip: per-VC descriptors and, during reconfigurations,
+ * the shadow descriptors and walk cursors.
  */
 class PartitionedNucaPolicy : public NucaPolicy
 {
@@ -82,6 +88,11 @@ class PartitionedNucaPolicy : public NucaPolicy
                           int num_vcs, ReconfigRuntime *runtime,
                           PartitionedNucaConfig cfg = {});
 
+    /**
+     * Home bank of `line` in `vc`, and its shadow home while a walk is
+     * active. Panics when `vc` is none of the thread's three VCs (the
+     * protection fault a VTB miss raises).
+     */
     MapResult map(ThreadId thread, TileId core, VcId vc,
                   LineAddr line) override;
 
@@ -143,8 +154,10 @@ class PartitionedNucaPolicy : public NucaPolicy
     ReconfigRuntime *runtime;
     PartitionedNucaConfig cfg;
 
-    std::vector<Vtb> vtbs;                  ///< One per thread.
     std::vector<VcDescriptor> descriptors;  ///< Current, per VC.
+    /// Per VC, the descriptor before the latest reconfiguration: the
+    /// shadow a demand move chases while the walk is active.
+    std::vector<VcDescriptor> previous;
     std::vector<std::vector<double>> currentAlloc;
     bool configured = false;
 

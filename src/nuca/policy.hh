@@ -112,6 +112,8 @@ struct RuntimeStepTimes
     {
         return allocUs + threadPlaceUs + dataPlaceUs;
     }
+
+    bool operator==(const RuntimeStepTimes &) const = default;
 };
 
 /** Outputs of a reconfiguration runtime. */

@@ -29,9 +29,9 @@ constexpr double kMemMaxUtil = 0.95;
 AccessPath::AccessPath(const SystemConfig &config, Platform &plat,
                        WorkloadMix &workload,
                        std::vector<TileId> &thread_core,
-                       RunStats &run_stats)
+                       RunResult &run_result)
     : cfg(config), platform(plat), mix(workload),
-      threadCore(thread_core), stats(run_stats)
+      threadCore(thread_core), result(run_result)
 {
     clocks.reserve(mix.numThreads());
     for (ThreadId t = 0; t < mix.numThreads(); t++) {
@@ -92,23 +92,42 @@ AccessPath::endChunk(double before, double after)
     }
 }
 
-MemPlacement
-AccessPath::memPlaceFor(TileId core, LineAddr line)
+double
+AccessPath::memoryLeg(TileId core, LineAddr line, TileId from, TileId to)
 {
-    return platform.memPlacement->placementFor(core, line);
-}
-
-void
-AccessPath::noteMemAccess(int ctrl)
-{
-    // Lazily sized: the stats object is reset wholesale at the
-    // warmup boundary, which empties the vector.
-    if (stats.memCtrlAccesses.size() <=
-        static_cast<std::size_t>(ctrl)) {
-        stats.memCtrlAccesses.resize(
+    NocModel &noc = *platform.noc;
+    const std::uint32_t ctrl = cfg.noc.ctrlFlits();
+    const std::uint32_t data = cfg.noc.dataFlits();
+    const MemPlacement mp =
+        platform.memPlacement->placementFor(core, line);
+    const int mc = mp.ctrl;
+    double leg = 0.0;
+    if (mp.tier == MemTier::Far) {
+        leg = noc.farMemLatency(from, mc, ctrl) + cfg.farMemLatency +
+            farQueueDelay + noc.farMemResponseLatency(mc, to, data);
+        noc.addFarMemTraffic(TrafficClass::LLCToMem, from, mc, ctrl);
+        noc.addFarMemResponse(TrafficClass::LLCToMem, mc, to, data);
+        result.farMemAccesses++;
+        result.farOffChipLatSum += leg;
+        StatRegistry::add(kMemFarAccesses);
+        chunkFarMisses++;
+    } else {
+        leg = noc.memLatency(from, mc, ctrl) + cfg.memLatency +
+            queueDelay + noc.memResponseLatency(mc, to, data);
+        noc.addMemTraffic(TrafficClass::LLCToMem, from, mc, ctrl);
+        noc.addMemResponse(TrafficClass::LLCToMem, mc, to, data);
+        chunkMisses++;
+    }
+    result.memAccesses++;
+    // Lazily sized: the warmup boundary resets the result wholesale,
+    // which empties the vector.
+    auto &per_ctrl = result.memCtrlAccesses;
+    if (per_ctrl.size() <= static_cast<std::size_t>(mc)) {
+        per_ctrl.resize(
             static_cast<std::size_t>(platform.mesh.numMemCtrls()), 0);
     }
-    stats.memCtrlAccesses[static_cast<std::size_t>(ctrl)]++;
+    per_ctrl[static_cast<std::size_t>(mc)]++;
+    return leg;
 }
 
 void
@@ -154,106 +173,56 @@ AccessPath::issueAccess(ThreadId t)
     noc.addTraffic(TrafficClass::L2ToLLC, core, bank_tile, ctrl);
     noc.addTraffic(TrafficClass::L2ToLLC, bank_tile, core, data);
 
-    stats.llcAccesses++;
-    BankAccessResult fill_res;
-    bool filled = false;
+    result.llcAccesses++;
+    BankAccessResult fill_res; // Stays empty on a hit.
     if (banks[mr.bank].probeHit(sample.line, tag, core)) {
-        stats.llcHits++;
-    } else if (mr.oldBank != invalidTile &&
-               policy.demandMovesActive()) {
-        // Demand move (Fig. 10): chase the line in its old bank.
-        const TileId old_tile =
-            static_cast<TileId>(mr.oldBank / cfg.banksPerTile);
-        const double probe_lat = noc.latency(bank_tile, old_tile, ctrl);
-        lat += probe_lat + cfg.bankLatency;
-        onchip += probe_lat;
-        noc.addTraffic(TrafficClass::Other, bank_tile, old_tile,
-                       ctrl);
-        stats.moveProbes++;
-        CacheLine moved;
-        if (banks[mr.oldBank].extractForMove(sample.line, moved)) {
-            // Old bank hit: line + coherence state move to the new
-            // bank (Fig. 10a) — the data leg travels old -> new.
-            const double move_lat =
-                noc.latency(old_tile, bank_tile, data);
-            lat += move_lat;
-            onchip += move_lat;
-            noc.addTraffic(TrafficClass::Other, old_tile, bank_tile,
-                           data);
-            fill_res = banks[mr.bank].installMoved(moved, tag);
-            filled = true;
-            stats.demandMoves++;
-        } else {
-            // Old bank miss: forward to memory; the response fills
-            // the new home (Fig. 10b).
-            const MemPlacement mp = memPlaceFor(core, sample.line);
-            const int mc = mp.ctrl;
-            const bool far = mp.tier == MemTier::Far;
-            const double mem_leg = far
-                ? noc.farMemLatency(old_tile, mc, ctrl) +
-                    cfg.farMemLatency + farQueueDelay +
-                    noc.farMemResponseLatency(mc, bank_tile, data)
-                : noc.memLatency(old_tile, mc, ctrl) + cfg.memLatency +
-                    queueDelay +
-                    noc.memResponseLatency(mc, bank_tile, data);
+        result.llcHits++;
+    } else {
+        // A miss fills the home bank from memory, requested by the home
+        // bank itself, unless a demand move finds the line first.
+        TileId mem_requester = bank_tile;
+        bool moved = false;
+        if (mr.oldBank != invalidTile && policy.demandMovesActive()) {
+            // Demand move (Fig. 10): chase the line in its old bank.
+            const TileId old_tile =
+                static_cast<TileId>(mr.oldBank / cfg.banksPerTile);
+            const double probe_lat =
+                noc.latency(bank_tile, old_tile, ctrl);
+            lat += probe_lat + cfg.bankLatency;
+            onchip += probe_lat;
+            noc.addTraffic(TrafficClass::Other, bank_tile, old_tile,
+                           ctrl);
+            result.moveProbes++;
+            CacheLine moved_line;
+            if (banks[mr.oldBank].extractForMove(sample.line,
+                                                 moved_line)) {
+                // Old bank hit: line + coherence state move to the new
+                // bank (Fig. 10a) — the data leg travels old -> new.
+                const double move_lat =
+                    noc.latency(old_tile, bank_tile, data);
+                lat += move_lat;
+                onchip += move_lat;
+                noc.addTraffic(TrafficClass::Other, old_tile, bank_tile,
+                               data);
+                fill_res = banks[mr.bank].installMoved(moved_line, tag);
+                result.demandMoves++;
+                moved = true;
+            } else {
+                // Old bank miss: it forwards the request to memory;
+                // the response fills the new home (Fig. 10b).
+                mem_requester = old_tile;
+            }
+        }
+        if (!moved) {
+            const double mem_leg =
+                memoryLeg(core, sample.line, mem_requester, bank_tile);
             lat += mem_leg;
             offchip += mem_leg;
-            if (far) {
-                noc.addFarMemTraffic(TrafficClass::LLCToMem,
-                                     old_tile, mc, ctrl);
-                noc.addFarMemResponse(TrafficClass::LLCToMem, mc,
-                                      bank_tile, data);
-                stats.farMemAccesses++;
-                stats.farOffChipLatSum += mem_leg;
-                StatRegistry::add(kMemFarAccesses);
-                chunkFarMisses++;
-            } else {
-                noc.addMemTraffic(TrafficClass::LLCToMem, old_tile,
-                                  mc, ctrl);
-                noc.addMemResponse(TrafficClass::LLCToMem, mc,
-                                   bank_tile, data);
-                chunkMisses++;
-            }
-            stats.memAccesses++;
-            noteMemAccess(mc);
             fill_res = banks[mr.bank].fill(sample.line, tag, core);
-            filled = true;
         }
-    } else {
-        const MemPlacement mp = memPlaceFor(core, sample.line);
-        const int mc = mp.ctrl;
-        const bool far = mp.tier == MemTier::Far;
-        const double mem_leg = far
-            ? noc.farMemLatency(bank_tile, mc, ctrl) +
-                cfg.farMemLatency + farQueueDelay +
-                noc.farMemResponseLatency(mc, bank_tile, data)
-            : noc.memLatency(bank_tile, mc, ctrl) + cfg.memLatency +
-                queueDelay + noc.memResponseLatency(mc, bank_tile, data);
-        lat += mem_leg;
-        offchip += mem_leg;
-        if (far) {
-            noc.addFarMemTraffic(TrafficClass::LLCToMem, bank_tile,
-                                 mc, ctrl);
-            noc.addFarMemResponse(TrafficClass::LLCToMem, mc,
-                                  bank_tile, data);
-            stats.farMemAccesses++;
-            stats.farOffChipLatSum += mem_leg;
-            StatRegistry::add(kMemFarAccesses);
-            chunkFarMisses++;
-        } else {
-            noc.addMemTraffic(TrafficClass::LLCToMem, bank_tile, mc,
-                              ctrl);
-            noc.addMemResponse(TrafficClass::LLCToMem, mc, bank_tile,
-                               data);
-            chunkMisses++;
-        }
-        stats.memAccesses++;
-        noteMemAccess(mc);
-        fill_res = banks[mr.bank].fill(sample.line, tag, core);
-        filled = true;
     }
 
-    if (filled && fill_res.evicted && fill_res.evictedSharers != 0) {
+    if (fill_res.evicted && fill_res.evictedSharers != 0) {
         // Invalidate L2 copies of the victim (in-cache directory).
         std::uint64_t mask = fill_res.evictedSharers;
         while (mask != 0) {
@@ -287,8 +256,8 @@ AccessPath::issueAccess(ThreadId t)
         }
     }
 
-    stats.onChipLatSum += onchip;
-    stats.offChipLatSum += offchip;
+    result.onChipLatSum += onchip;
+    result.offChipLatSum += offchip;
     clocks[t].addAccess(thr.instrPerAccess, lat);
 
     if (cfg.traceIpc) {

@@ -15,7 +15,7 @@
 
 #include "sim/core_model.hh"
 #include "sim/platform.hh"
-#include "sim/run_stats.hh"
+#include "sim/run_result.hh"
 #include "workload/mix.hh"
 
 namespace cdcs
@@ -28,11 +28,13 @@ class AccessPath
     /**
      * @param threadCore Live thread-to-core map (updated between
      *        epochs by the EpochController).
-     * @param stats Shared run counters (reset at warmup boundary).
+     * @param result The run's result, whose access counters this path
+     *        bumps (the EpochController resets it at the warmup
+     *        boundary and completes it at the end).
      */
     AccessPath(const SystemConfig &cfg, Platform &platform,
                WorkloadMix &mix, std::vector<TileId> &threadCore,
-               RunStats &stats);
+               RunResult &result);
 
     /** Issue one access of thread t through the LLC. */
     void issueAccess(ThreadId t);
@@ -65,23 +67,21 @@ class AccessPath
 
   private:
     /**
-     * Two-level placement of `line` when accessed by `core`:
-     * delegated to the platform's MemPlacementPolicy (interleave by
-     * default; first-touch and contention-rebalanced policies keep
-     * their own page maps), which consults the attached tiering
-     * policy for near/far residency. With no far tier the tier pins
-     * MemTier::Near.
+     * The memory leg of an LLC miss on `line` by `core`: the request
+     * travels from tile `from` to the line's controller, the response
+     * from the controller to tile `to`. The platform's
+     * MemPlacementPolicy picks the controller and, through the
+     * attached tiering policy, the near or far tier (always near
+     * with no far tier). Charges both messages, counts the access
+     * against its tier and controller, and returns the leg's latency.
      */
-    MemPlacement memPlaceFor(TileId core, LineAddr line);
-
-    /** Account one memory access against its serving controller. */
-    void noteMemAccess(int ctrl);
+    double memoryLeg(TileId core, LineAddr line, TileId from, TileId to);
 
     const SystemConfig &cfg;
     Platform &platform;
     WorkloadMix &mix;
     std::vector<TileId> &threadCore;
-    RunStats &stats;
+    RunResult &result;
 
     // Memory-bandwidth queueing state, per tier. chunkMisses counts
     // near-tier misses only once a far tier is on; with no far tier

@@ -29,6 +29,8 @@ struct EnergyBreakdown
     {
         return staticE + core + net + llc + mem;
     }
+
+    bool operator==(const EnergyBreakdown &) const = default;
 };
 
 /** Energy constants and evaluation. */

@@ -27,9 +27,9 @@ EpochController::EpochController(const SystemConfig &config,
                                  Platform &plat, AccessPath &access,
                                  WorkloadMix &workload,
                                  std::vector<TileId> &thread_core,
-                                 RunStats &run_stats)
+                                 RunResult &run_result)
     : cfg(config), platform(plat), path(access), mix(workload),
-      threadCore(thread_core), stats(run_stats)
+      threadCore(thread_core), result(run_result)
 {
     instrOffset.assign(mix.numThreads(), 0.0);
     cycleOffset.assign(mix.numThreads(), 0.0);
@@ -126,12 +126,12 @@ EpochController::applyDirective(const EpochDirective &directive)
     StatRegistry::add(kRuntimeMovedLines,
                       directive.movedLines +
                           directive.invalidatedLines);
-    stats.reconfigs++;
-    stats.timeSums.allocUs += directive.times.allocUs;
-    stats.timeSums.threadPlaceUs += directive.times.threadPlaceUs;
-    stats.timeSums.dataPlaceUs += directive.times.dataPlaceUs;
-    stats.instantMoved += directive.movedLines;
-    stats.bulkInvalidated += directive.invalidatedLines;
+    result.reconfigs++;
+    timeSums.allocUs += directive.times.allocUs;
+    timeSums.threadPlaceUs += directive.times.threadPlaceUs;
+    timeSums.dataPlaceUs += directive.times.dataPlaceUs;
+    result.instantMoved += directive.movedLines;
+    result.bulkInvalidated += directive.invalidatedLines;
     lastMovedLines = directive.movedLines + directive.invalidatedLines;
     if (!directive.newThreadCore.empty()) {
         const int moves_before = lastPlacementMoves;
@@ -158,7 +158,7 @@ EpochController::applyDirective(const EpochDirective &directive)
             path.clocks[t].addPause(
                 static_cast<double>(directive.pauseCycles));
         }
-        stats.pausedCycles += directive.pauseCycles;
+        result.pausedCycles += directive.pauseCycles;
     }
 }
 
@@ -237,7 +237,8 @@ EpochController::runEpochs()
             // Warmup boundary: reset measured statistics, keep all
             // microarchitectural state warm (including the NoC's
             // contention estimate).
-            stats = RunStats{};
+            result = RunResult{};
+            timeSums = RuntimeStepTimes{};
             platform.noc->clearTraffic();
             for (int t = 0; t < num_threads; t++) {
                 instrOffset[t] = path.clocks[t].instructions();
@@ -268,7 +269,7 @@ EpochController::runEpochs()
 
                 const double elapsed =
                     std::max(0.0, after - reconfigStartMean);
-                stats.bgInvalidated += platform.policy->advanceWalk(
+                result.bgInvalidated += platform.policy->advanceWalk(
                     static_cast<Cycles>(elapsed), platform.banks);
             }
         }
@@ -350,11 +351,11 @@ EpochController::runEpochs()
     }
 }
 
-RunResult
-EpochController::assemble() const
+void
+EpochController::assemble()
 {
     const int num_threads = mix.numThreads();
-    RunResult res;
+    RunResult &res = result;
     res.threadInstrs.resize(num_threads);
     res.threadCycles.resize(num_threads);
     res.threadIpc.resize(num_threads);
@@ -379,28 +380,12 @@ EpochController::assemble() const
             max_cycles > 0.0 ? instrs / max_cycles : 0.0);
     }
 
-    res.llcAccesses = stats.llcAccesses;
-    res.llcHits = stats.llcHits;
-    res.demandMoves = stats.demandMoves;
-    res.moveProbes = stats.moveProbes;
-    res.memAccesses = stats.memAccesses;
-    res.farMemAccesses = stats.farMemAccesses;
-    res.instantMoved = stats.instantMoved;
-    res.bulkInvalidated = stats.bulkInvalidated;
-    res.bgInvalidated = stats.bgInvalidated;
-    res.pausedCycles = stats.pausedCycles;
-    res.reconfigs = stats.reconfigs;
-    if (stats.reconfigs > 0) {
-        res.avgTimes.allocUs =
-            stats.timeSums.allocUs / stats.reconfigs;
+    if (res.reconfigs > 0) {
+        res.avgTimes.allocUs = timeSums.allocUs / res.reconfigs;
         res.avgTimes.threadPlaceUs =
-            stats.timeSums.threadPlaceUs / stats.reconfigs;
-        res.avgTimes.dataPlaceUs =
-            stats.timeSums.dataPlaceUs / stats.reconfigs;
+            timeSums.threadPlaceUs / res.reconfigs;
+        res.avgTimes.dataPlaceUs = timeSums.dataPlaceUs / res.reconfigs;
     }
-    res.onChipLatSum = stats.onChipLatSum;
-    res.offChipLatSum = stats.offChipLatSum;
-    res.farOffChipLatSum = stats.farOffChipLatSum;
     for (std::size_t c = 0; c < res.trafficFlitHops.size(); c++) {
         res.trafficFlitHops[c] =
             platform.noc->trafficFlitHops(static_cast<TrafficClass>(c));
@@ -430,7 +415,6 @@ EpochController::assemble() const
         static_cast<double>(platform.noc->totalFlitHops()),
         static_cast<double>(res.memAccesses), mean_cycles);
 
-    res.memCtrlAccesses = stats.memCtrlAccesses;
     res.memCtrlAccesses.resize(
         static_cast<std::size_t>(platform.mesh.numMemCtrls()), 0);
     res.epochTrace = trace;
@@ -442,7 +426,6 @@ EpochController::assemble() const
         for (double instrs : path.ipcBins)
             res.ipcTrace.push_back(instrs / cfg.traceBinCycles);
     }
-    return res;
 }
 
 } // namespace cdcs

@@ -20,7 +20,6 @@
 #include "sim/access_path.hh"
 #include "sim/platform.hh"
 #include "sim/run_result.hh"
-#include "sim/run_stats.hh"
 
 namespace cdcs
 {
@@ -29,15 +28,20 @@ namespace cdcs
 class EpochController
 {
   public:
+    /**
+     * @param result The run's result: reset at the warmup boundary,
+     *        counted into by this controller and the AccessPath, and
+     *        completed by assemble().
+     */
     EpochController(const SystemConfig &cfg, Platform &platform,
                     AccessPath &path, WorkloadMix &mix,
-                    std::vector<TileId> &threadCore, RunStats &stats);
+                    std::vector<TileId> &threadCore, RunResult &result);
 
     /** Run all epochs (warmup + measured). */
     void runEpochs();
 
-    /** Aggregate the post-warmup measurements. */
-    RunResult assemble() const;
+    /** Complete the result from the post-warmup measurements. */
+    void assemble();
 
   private:
     /** Snapshot monitor curves + access matrix for the runtime. */
@@ -56,7 +60,11 @@ class EpochController
     AccessPath &path;
     WorkloadMix &mix;
     std::vector<TileId> &threadCore;
-    RunStats &stats;
+    RunResult &result;
+
+    /// Post-warmup sums of the reconfiguration step times (averaged
+    /// into RunResult::avgTimes).
+    RuntimeStepTimes timeSums;
 
     /// Per-thread instruction/cycle counts at the warmup boundary.
     std::vector<double> instrOffset;

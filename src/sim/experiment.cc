@@ -52,16 +52,6 @@ weightedSpeedup(const RunResult &run, const RunResult &baseline)
     return mean(ratios);
 }
 
-std::vector<RunResult>
-runSchemes(const SystemConfig &cfg,
-           const std::vector<SchemeSpec> &schemes, const MixSpec &mix)
-{
-    std::vector<RunResult> results(schemes.size());
-    for (std::size_t i = 0; i < schemes.size(); i++)
-        results[i] = runScheme(cfg, schemes[i], mix);
-    return results;
-}
-
 std::uint64_t
 envOr(const char *name, std::uint64_t fallback)
 {

@@ -79,15 +79,6 @@ RunResult runScheme(const SystemConfig &cfg, const SchemeSpec &scheme,
  */
 double weightedSpeedup(const RunResult &run, const RunResult &baseline);
 
-/**
- * Run several schemes on the same mix (identical streams) and return
- * results in scheme order. Serial; use ExperimentRunner::runSchemes
- * to shard the runs across the pool.
- */
-std::vector<RunResult> runSchemes(const SystemConfig &cfg,
-                                  const std::vector<SchemeSpec> &schemes,
-                                  const MixSpec &mix);
-
 /** Integer environment knob with default (e.g., CDCS_MIXES). */
 std::uint64_t envOr(const char *name, std::uint64_t fallback);
 

@@ -51,23 +51,10 @@ class ByteWriter
   public:
     explicit ByteWriter(std::string &out_) : out(out_) {}
 
-    void
-    u32(std::uint32_t v)
-    {
-        for (int i = 0; i < 4; i++)
-            out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; i++)
-            out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-    }
-
-    void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-
-    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+    void u32(std::uint32_t v) { put(v, 4); }
+    void u64(std::uint64_t v) { put(v, 8); }
+    void i64(std::int64_t v) { put(static_cast<std::uint64_t>(v), 8); }
+    void f64(double v) { put(std::bit_cast<std::uint64_t>(v), 8); }
 
     void
     str(const std::string &s)
@@ -76,19 +63,34 @@ class ByteWriter
         out += s;
     }
 
+    /** A u32 element count, then every element through `each`. */
+    template <typename T, typename Each>
     void
-    f64Vec(const std::vector<double> &xs)
+    seq(const std::vector<T> &xs, std::size_t /*min_bytes*/, Each each)
     {
         u32(static_cast<std::uint32_t>(xs.size()));
-        for (double x : xs)
-            f64(x);
+        for (const T &x : xs)
+            each(x);
     }
 
   private:
+    void
+    put(std::uint64_t v, int bytes)
+    {
+        for (int i = 0; i < bytes; i++)
+            out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    }
+
     std::string &out;
 };
 
-/** Bounds-checked reader; every getter fails on truncation. */
+/**
+ * Bounds-checked reader with the writer's method names. A read past
+ * the end, or a sequence count the remaining bytes cannot hold at
+ * `min_bytes` per element, fails the reader for good (ok() turns
+ * false and every later read yields zeros) before anything is
+ * allocated.
+ */
 class ByteReader
 {
   public:
@@ -97,255 +99,147 @@ class ByteReader
     {
     }
 
-    bool
-    u32(std::uint32_t *v)
+    template <typename T>
+    void
+    u32(T &v)
     {
-        if (size - pos < 4)
-            return false;
-        *v = 0;
-        for (int i = 0; i < 4; i++) {
-            *v |= static_cast<std::uint32_t>(
-                      static_cast<unsigned char>(data[pos + i]))
-                << (8 * i);
+        v = static_cast<T>(get(4));
+    }
+
+    void u64(std::uint64_t &v) { v = get(8); }
+
+    template <typename T>
+    void
+    i64(T &v)
+    {
+        v = static_cast<T>(static_cast<std::int64_t>(get(8)));
+    }
+
+    void f64(double &v) { v = std::bit_cast<double>(get(8)); }
+
+    void
+    str(std::string &s)
+    {
+        const std::uint64_t len = get(4);
+        if (!good || size - pos < len) {
+            good = false;
+            return;
         }
-        pos += 4;
-        return true;
-    }
-
-    bool
-    u64(std::uint64_t *v)
-    {
-        if (size - pos < 8)
-            return false;
-        *v = 0;
-        for (int i = 0; i < 8; i++) {
-            *v |= static_cast<std::uint64_t>(
-                      static_cast<unsigned char>(data[pos + i]))
-                << (8 * i);
-        }
-        pos += 8;
-        return true;
-    }
-
-    bool
-    i64(std::int64_t *v)
-    {
-        std::uint64_t raw;
-        if (!u64(&raw))
-            return false;
-        *v = static_cast<std::int64_t>(raw);
-        return true;
-    }
-
-    bool
-    f64(double *v)
-    {
-        std::uint64_t raw;
-        if (!u64(&raw))
-            return false;
-        *v = std::bit_cast<double>(raw);
-        return true;
-    }
-
-    bool
-    str(std::string *s)
-    {
-        std::uint32_t len;
-        if (!u32(&len) || size - pos < len)
-            return false;
-        s->assign(data + pos, len);
+        s.assign(data + pos, len);
         pos += len;
-        return true;
     }
 
-    bool
-    f64Vec(std::vector<double> *xs)
+    template <typename T, typename Each>
+    void
+    seq(std::vector<T> &xs, std::size_t min_bytes, Each each)
     {
-        std::uint32_t count;
-        if (!u32(&count) || (size - pos) / 8 < count)
-            return false;
-        xs->resize(count);
-        for (std::uint32_t i = 0; i < count; i++) {
-            if (!f64(&(*xs)[i]))
-                return false;
+        const std::uint64_t count = get(4);
+        if (!good || (size - pos) / min_bytes < count) {
+            good = false;
+            return;
         }
-        return true;
+        xs.resize(count);
+        for (T &x : xs)
+            each(x);
     }
 
-    std::size_t position() const { return pos; }
+    bool ok() const { return good; }
     std::size_t remaining() const { return size - pos; }
 
   private:
+    std::uint64_t
+    get(std::size_t bytes)
+    {
+        if (!good || size - pos < bytes) {
+            good = false;
+            return 0;
+        }
+        std::uint64_t v = 0;
+        for (std::size_t i = 0; i < bytes; i++) {
+            v |= static_cast<std::uint64_t>(
+                     static_cast<unsigned char>(data[pos + i]))
+                << (8 * i);
+        }
+        pos += bytes;
+        return v;
+    }
+
     const char *data;
     std::size_t size;
     std::size_t pos = 0;
+    bool good = true;
 };
 
+/**
+ * The one field list of a record: save() runs it over a ByteWriter
+ * and a const RunResult, load() over a ByteReader and a fresh one.
+ * The far-tier fields (format 4) come last, so everything before
+ * them matches format 3 byte for byte. Each sequence names the
+ * fewest bytes one element can take, which bounds its count.
+ */
+template <typename Io, typename Result>
 void
-serializeResult(ByteWriter &w, const RunResult &r)
+transferResult(Io &io, Result &r)
 {
-    w.f64Vec(r.threadInstrs);
-    w.f64Vec(r.threadCycles);
-    w.f64Vec(r.threadIpc);
-    w.f64Vec(r.procThroughput);
-    w.f64(r.totalInstrs);
-    w.f64(r.wallCycles);
-    w.u64(r.llcAccesses);
-    w.u64(r.llcHits);
-    w.u64(r.demandMoves);
-    w.u64(r.moveProbes);
-    w.u64(r.memAccesses);
-    w.u64(r.instantMoved);
-    w.u64(r.bulkInvalidated);
-    w.u64(r.bgInvalidated);
-    w.u64(r.pausedCycles);
-    w.i64(r.reconfigs);
-    w.f64(r.avgTimes.allocUs);
-    w.f64(r.avgTimes.threadPlaceUs);
-    w.f64(r.avgTimes.dataPlaceUs);
-    w.f64(r.onChipLatSum);
-    w.f64(r.offChipLatSum);
-    for (std::uint64_t hops : r.trafficFlitHops)
-        w.u64(hops);
-    w.u32(static_cast<std::uint32_t>(r.nocLinks.size()));
-    for (const NocLinkStat &link : r.nocLinks) {
-        w.u32(link.src);
-        w.u32(link.dst);
-        w.i64(link.memCtrl);
-        w.u64(link.flits);
-        w.f64(link.util);
-        w.f64(link.waitCycles);
-        w.u32(link.far ? 1 : 0);
-    }
-    w.u64(r.memMigratedPages);
-    w.f64(r.energy.staticE);
-    w.f64(r.energy.core);
-    w.f64(r.energy.net);
-    w.f64(r.energy.llc);
-    w.f64(r.energy.mem);
-    w.f64Vec(r.ipcTrace);
-    w.u64(r.ipcBinCycles);
-    w.u32(static_cast<std::uint32_t>(r.memCtrlAccesses.size()));
-    for (std::uint64_t n : r.memCtrlAccesses)
-        w.u64(n);
-    w.u32(static_cast<std::uint32_t>(r.epochTrace.size()));
-    for (const EpochRecord &rec : r.epochTrace) {
-        w.i64(rec.epoch);
-        w.i64(rec.activeThreads);
-        w.i64(rec.churnDelta);
-        w.f64(rec.aggIpc);
-        w.i64(rec.placementMoves);
-        w.u64(rec.movedLines);
-        w.u32(static_cast<std::uint32_t>(rec.stats.size()));
-        for (std::uint64_t v : rec.stats)
-            w.u64(v);
-    }
-    w.u32(static_cast<std::uint32_t>(r.statNames.size()));
-    for (const std::string &name : r.statNames)
-        w.str(name);
-    // Far-memory tier (format 4); appended so the field order above
-    // matches format 3 byte for byte up to this point.
-    w.u64(r.farMemAccesses);
-    w.f64(r.farOffChipLatSum);
-    w.u64(r.tierPromotions);
-    w.u64(r.tierDemotions);
-    w.u64(r.farResidentPages);
-    w.u64(r.tieredPages);
-}
-
-bool
-deserializeResult(ByteReader &r, RunResult *out)
-{
-    std::int64_t reconfigs;
-    std::uint32_t num_links;
-    if (!(r.f64Vec(&out->threadInstrs) &&
-          r.f64Vec(&out->threadCycles) && r.f64Vec(&out->threadIpc) &&
-          r.f64Vec(&out->procThroughput) && r.f64(&out->totalInstrs) &&
-          r.f64(&out->wallCycles) && r.u64(&out->llcAccesses) &&
-          r.u64(&out->llcHits) && r.u64(&out->demandMoves) &&
-          r.u64(&out->moveProbes) && r.u64(&out->memAccesses) &&
-          r.u64(&out->instantMoved) && r.u64(&out->bulkInvalidated) &&
-          r.u64(&out->bgInvalidated) && r.u64(&out->pausedCycles) &&
-          r.i64(&reconfigs) && r.f64(&out->avgTimes.allocUs) &&
-          r.f64(&out->avgTimes.threadPlaceUs) &&
-          r.f64(&out->avgTimes.dataPlaceUs) &&
-          r.f64(&out->onChipLatSum) && r.f64(&out->offChipLatSum))) {
-        return false;
-    }
-    out->reconfigs = static_cast<int>(reconfigs);
-    for (std::uint64_t &hops : out->trafficFlitHops) {
-        if (!r.u64(&hops))
-            return false;
-    }
-    if (!r.u32(&num_links))
-        return false;
-    out->nocLinks.resize(num_links);
-    for (NocLinkStat &link : out->nocLinks) {
-        std::uint32_t src, dst, far;
-        std::int64_t ctrl;
-        if (!(r.u32(&src) && r.u32(&dst) && r.i64(&ctrl) &&
-              r.u64(&link.flits) && r.f64(&link.util) &&
-              r.f64(&link.waitCycles) && r.u32(&far))) {
-            return false;
-        }
-        link.src = static_cast<TileId>(src);
-        link.dst = static_cast<TileId>(dst);
-        link.memCtrl = static_cast<int>(ctrl);
-        link.far = far != 0;
-    }
-    if (!(r.u64(&out->memMigratedPages) && r.f64(&out->energy.staticE) &&
-          r.f64(&out->energy.core) && r.f64(&out->energy.net) &&
-          r.f64(&out->energy.llc) && r.f64(&out->energy.mem) &&
-          r.f64Vec(&out->ipcTrace) && r.u64(&out->ipcBinCycles))) {
-        return false;
-    }
-    std::uint32_t num_ctrls;
-    if (!r.u32(&num_ctrls) || r.remaining() / 8 < num_ctrls)
-        return false;
-    out->memCtrlAccesses.resize(num_ctrls);
-    for (std::uint64_t &n : out->memCtrlAccesses) {
-        if (!r.u64(&n))
-            return false;
-    }
-    std::uint32_t num_epochs;
-    if (!r.u32(&num_epochs) || r.remaining() / 48 < num_epochs)
-        return false;
-    out->epochTrace.resize(num_epochs);
-    for (EpochRecord &rec : out->epochTrace) {
-        std::int64_t epoch, active, delta, moves;
-        if (!(r.i64(&epoch) && r.i64(&active) && r.i64(&delta) &&
-              r.f64(&rec.aggIpc) && r.i64(&moves) &&
-              r.u64(&rec.movedLines))) {
-            return false;
-        }
-        rec.epoch = static_cast<int>(epoch);
-        rec.activeThreads = static_cast<int>(active);
-        rec.churnDelta = static_cast<int>(delta);
-        rec.placementMoves = static_cast<int>(moves);
-        std::uint32_t num_stats;
-        if (!r.u32(&num_stats) || r.remaining() / 8 < num_stats)
-            return false;
-        rec.stats.resize(num_stats);
-        for (std::uint64_t &v : rec.stats) {
-            if (!r.u64(&v))
-                return false;
-        }
-    }
-    std::uint32_t num_names;
-    if (!r.u32(&num_names) || r.remaining() / 4 < num_names)
-        return false;
-    out->statNames.resize(num_names);
-    for (std::string &name : out->statNames) {
-        if (!r.str(&name))
-            return false;
-    }
-    if (!(r.u64(&out->farMemAccesses) &&
-          r.f64(&out->farOffChipLatSum) &&
-          r.u64(&out->tierPromotions) && r.u64(&out->tierDemotions) &&
-          r.u64(&out->farResidentPages) && r.u64(&out->tieredPages))) {
-        return false;
-    }
-    return true;
+    const auto f64 = [&io](auto &x) { io.f64(x); };
+    const auto u64 = [&io](auto &x) { io.u64(x); };
+    io.seq(r.threadInstrs, 8, f64);
+    io.seq(r.threadCycles, 8, f64);
+    io.seq(r.threadIpc, 8, f64);
+    io.seq(r.procThroughput, 8, f64);
+    io.f64(r.totalInstrs);
+    io.f64(r.wallCycles);
+    io.u64(r.llcAccesses);
+    io.u64(r.llcHits);
+    io.u64(r.demandMoves);
+    io.u64(r.moveProbes);
+    io.u64(r.memAccesses);
+    io.u64(r.instantMoved);
+    io.u64(r.bulkInvalidated);
+    io.u64(r.bgInvalidated);
+    io.u64(r.pausedCycles);
+    io.i64(r.reconfigs);
+    io.f64(r.avgTimes.allocUs);
+    io.f64(r.avgTimes.threadPlaceUs);
+    io.f64(r.avgTimes.dataPlaceUs);
+    io.f64(r.onChipLatSum);
+    io.f64(r.offChipLatSum);
+    for (auto &hops : r.trafficFlitHops)
+        io.u64(hops);
+    io.seq(r.nocLinks, 44, [&io](auto &link) {
+        io.u32(link.src);
+        io.u32(link.dst);
+        io.i64(link.memCtrl);
+        io.u64(link.flits);
+        io.f64(link.util);
+        io.f64(link.waitCycles);
+        io.u32(link.far);
+    });
+    io.u64(r.memMigratedPages);
+    io.f64(r.energy.staticE);
+    io.f64(r.energy.core);
+    io.f64(r.energy.net);
+    io.f64(r.energy.llc);
+    io.f64(r.energy.mem);
+    io.seq(r.ipcTrace, 8, f64);
+    io.u64(r.ipcBinCycles);
+    io.seq(r.memCtrlAccesses, 8, u64);
+    io.seq(r.epochTrace, 52, [&io, &u64](auto &rec) {
+        io.i64(rec.epoch);
+        io.i64(rec.activeThreads);
+        io.i64(rec.churnDelta);
+        io.f64(rec.aggIpc);
+        io.i64(rec.placementMoves);
+        io.u64(rec.movedLines);
+        io.seq(rec.stats, 8, u64);
+    });
+    io.seq(r.statNames, 4, [&io](auto &name) { io.str(name); });
+    io.u64(r.farMemAccesses);
+    io.f64(r.farOffChipLatSum);
+    io.u64(r.tierPromotions);
+    io.u64(r.tierDemotions);
+    io.u64(r.farResidentPages);
+    io.u64(r.tieredPages);
 }
 
 bool
@@ -470,18 +364,21 @@ ResultStore::load(const std::string &key, RunResult *out)
     const std::size_t body = blob.size() - 8;
     ByteReader tail(blob.data() + body, 8);
     std::uint64_t want_sum = 0;
-    tail.u64(&want_sum);
+    tail.u64(want_sum);
     if (fnv1a64(blob.data(), body, fnvOffset) != want_sum)
         return reject(true);
 
     ByteReader r(blob.data(), body);
-    std::uint32_t magic, format;
-    std::uint64_t stored_hash;
+    std::uint32_t magic = 0, format = 0;
+    std::uint64_t stored_hash = 0;
     std::string stored_version, stored_key;
-    if (!(r.u32(&magic) && r.u32(&format) && r.u64(&stored_hash) &&
-          r.str(&stored_version) && r.str(&stored_key))) {
+    r.u32(magic);
+    r.u32(format);
+    r.u64(stored_hash);
+    r.str(stored_version);
+    r.str(stored_key);
+    if (!r.ok())
         return reject(true);
-    }
     if (magic != recordMagic || format != recordFormat ||
         stored_hash != hash) {
         return reject(true);
@@ -491,7 +388,8 @@ ResultStore::load(const std::string &key, RunResult *out)
     if (stored_version != version || stored_key != key)
         return reject(false);
     RunResult res;
-    if (!deserializeResult(r, &res) || r.remaining() != 0)
+    transferResult(r, res);
+    if (!r.ok() || r.remaining() != 0)
         return reject(true);
 
     *out = std::move(res);
@@ -515,7 +413,7 @@ ResultStore::save(const std::string &key, const RunResult &result)
     w.u64(hash);
     w.str(version);
     w.str(key);
-    serializeResult(w, result);
+    transferResult(w, result);
     w.u64(fnv1a64(blob.data(), blob.size(), fnvOffset));
 
     const std::string path = recordPath(hash);

@@ -45,6 +45,8 @@ struct EpochRecord
      * schedule skipped (and always when stats are off).
      */
     std::vector<std::uint64_t> stats;
+
+    bool operator==(const EpochRecord &) const = default;
 };
 
 /** Aggregated results of one run (post-warmup unless noted). */
@@ -164,6 +166,12 @@ struct RunResult
 
     /** Epochs of churn (nonzero churnDelta), in trace order. */
     std::vector<int> churnEpochs() const;
+
+    /**
+     * Field-wise equality. avgTimes is wall-clock: clear it before
+     * comparing two separate simulations of one cell.
+     */
+    bool operator==(const RunResult &) const = default;
 
     double
     avgOnChipLatency() const

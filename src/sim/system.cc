@@ -74,10 +74,10 @@ SchemeSpec::factor(bool l, bool t, bool d)
 System::System(const SystemConfig &config, const SchemeSpec &scheme,
                WorkloadMix workload)
     : cfg(config), spec(scheme), mix(std::move(workload)),
-      platform(cfg, spec, mix), stats(),
+      platform(cfg, spec, mix), result(),
       threadCore(platform.initialPlacement),
-      path(cfg, platform, mix, threadCore, stats),
-      controller(cfg, platform, path, mix, threadCore, stats)
+      path(cfg, platform, mix, threadCore, result),
+      controller(cfg, platform, path, mix, threadCore, result)
 {
     if (cfg.dynamicTraffic()) {
         TrafficConfig traffic;
@@ -105,7 +105,8 @@ RunResult
 System::run()
 {
     controller.runEpochs();
-    return controller.assemble();
+    controller.assemble();
+    return result;
 }
 
 } // namespace cdcs

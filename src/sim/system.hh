@@ -26,7 +26,6 @@
 #include "sim/epoch_controller.hh"
 #include "sim/platform.hh"
 #include "sim/run_result.hh"
-#include "sim/run_stats.hh"
 #include "sim/system_config.hh"
 #include "workload/mix.hh"
 
@@ -72,7 +71,7 @@ class System
     SchemeSpec spec;
     WorkloadMix mix;
     Platform platform;
-    RunStats stats;
+    RunResult result;
     std::vector<TileId> threadCore;
     AccessPath path;
     EpochController controller;

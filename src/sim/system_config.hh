@@ -147,8 +147,8 @@ struct SystemConfig
     // ---- Far-memory tier (src/mem/mem_tiering.hh). All knobs
     // default to "no far tier": with farMemRatio == 0 no tiering
     // policy is built, no far attach links are materialized and every
-    // study is byte-identical to pre-tier binaries (CI byte-diffs
-    // this).
+    // study is byte-identical to pre-tier binaries (the golden case
+    // fig11_mixes2_far_tier_off pins this).
 
     /**
      * Fraction of pages resident in the far (CXL-style) capacity
@@ -182,7 +182,8 @@ struct SystemConfig
     // ---- Dynamic multi-tenant traffic (src/workload/traffic.hh).
     // All knobs default off: with skewAlpha == 0 and an empty churn
     // string no TrafficSchedule is attached and every RNG draw is
-    // identical to the static-traffic code path (CI byte-diffs this).
+    // identical to the static-traffic code path (the golden case
+    // fig11_mixes2_traffic_off pins this).
 
     /** Zipf skew of the hot-object overlay; 0 disables it. */
     double skewAlpha = 0.0;
@@ -218,7 +219,8 @@ struct SystemConfig
 
     // ---- Observability (src/obs/). Stats never affect simulated
     // results, so these knobs stay out of the runner cache key and
-    // default off (CI byte-diffs the default output).
+    // default off (the golden case noc_sensitivity_obs_off pins the
+    // default output).
 
     /**
      * StatRegistry selection recorded per epoch into the metrics

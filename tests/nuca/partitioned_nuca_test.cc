@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the partitioned-NUCA substrate: descriptor application,
- * bank target programming, and the three move schemes (instant, bulk,
- * demand + background).
+ * bank target programming, the unwired-VC fault, and the three move
+ * schemes (instant, bulk, demand + background).
  */
 
 #include <gtest/gtest.h>
@@ -94,6 +94,14 @@ TEST(PartitionedNucaTest, BootstrapSpreadsAcrossBanks)
         counts[fx.policy->map(0, 0, 0, a).bank]++;
     for (int c : counts)
         EXPECT_GT(c, 512);
+}
+
+TEST(PartitionedNucaTest, MapOfUnwiredVcDies)
+{
+    // Thread 0 is wired to VCs 0-2 only; any other VC is the
+    // protection fault a VTB miss raises in hardware.
+    Fixture fx(MoveScheme::Instant, allToBank(0, 4, 256));
+    EXPECT_DEATH(fx.policy->map(0, 0, 3, 0x1), "VTB miss for VC 3");
 }
 
 TEST(PartitionedNucaTest, ReconfigureRedirectsMapping)

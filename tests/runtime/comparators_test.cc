@@ -10,8 +10,8 @@
 
 #include "runtime/anneal.hh"
 #include "runtime/bisect.hh"
-#include "runtime/jigsaw_runtime.hh"
 #include "runtime/refined_placer.hh"
+#include "sim/system_config.hh"
 
 namespace cdcs
 {
@@ -123,7 +123,8 @@ TEST(CdcsRuntimeTest, BeatsJigsawOnContendedInput)
     Mesh mesh(6, 6);
     RuntimeInput in = makeInput(mesh, 8, 3 * tileCap);
     CdcsRuntime cdcs_rt;
-    JigsawRuntime jigsaw_rt;
+    CdcsRuntime jigsaw_rt(
+        SchemeSpec::jigsaw(InitialSched::Random).cdcsOpts);
     const RuntimeOutput cdcs_out = cdcs_rt.reconfigure(in);
     const RuntimeOutput jigsaw_out = jigsaw_rt.reconfigure(in);
     EXPECT_LT(totalCost(cdcs_out, in), totalCost(jigsaw_out, in));

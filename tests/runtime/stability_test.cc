@@ -9,8 +9,8 @@
 #include <gtest/gtest.h>
 
 #include "runtime/anneal.hh"
-#include "runtime/jigsaw_runtime.hh"
 #include "runtime/refined_placer.hh"
+#include "sim/system_config.hh"
 
 namespace cdcs
 {
@@ -184,7 +184,9 @@ TEST(StabilityTest, JigsawAllocatesAllCapacityDeterministically)
     // Jigsaw hands out the full LLC; two runs with identical inputs
     // must produce identical allocations.
     Mesh mesh(6, 6);
-    JigsawRuntime r1, r2;
+    const CdcsOptions jigsaw =
+        SchemeSpec::jigsaw(InitialSched::Random).cdcsOpts;
+    CdcsRuntime r1(jigsaw), r2(jigsaw);
     const RuntimeInput in = stationaryInput(mesh, 8, 0.0, 9);
     const RuntimeOutput a = r1.reconfigure(in);
     const RuntimeOutput b = r2.reconfigure(in);

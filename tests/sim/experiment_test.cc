@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/experiment.hh"
+#include "sim/experiment_runner.hh"
 
 namespace cdcs
 {
@@ -68,7 +68,8 @@ TEST(ExperimentTest, RunSchemesPreservesOrder)
     cfg.accessesPerThreadEpoch = 2000;
     cfg.epochs = 2;
     cfg.warmupEpochs = 1;
-    const auto results = runSchemes(
+    ExperimentRunner runner;
+    const auto results = runner.runSchemes(
         cfg, {SchemeSpec::snuca(), SchemeSpec::rnuca()},
         MixSpec::cpu(2, 3));
     ASSERT_EQ(results.size(), 2u);

@@ -10,7 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "common/stats.hh"
-#include "sim/experiment.hh"
+#include "sim/experiment_runner.hh"
 
 namespace cdcs
 {
@@ -44,7 +44,8 @@ TEST(IntegrationTest, PartitionedNucaBeatsSnucaOnCliffMix)
          "milc", "milc", "milc", "milc", "milc", "milc"},
         7);
     const SystemConfig cfg = integrationConfig();
-    const auto results = runSchemes(
+    ExperimentRunner runner;
+    const auto results = runner.runSchemes(
         cfg,
         {SchemeSpec::snuca(), SchemeSpec::cdcs()},
         mix);
@@ -56,7 +57,8 @@ TEST(IntegrationTest, CdcsReducesOnChipLatencyVsSnuca)
 {
     const MixSpec mix = MixSpec::cpu(12, 61);
     const SystemConfig cfg = integrationConfig();
-    const auto results = runSchemes(
+    ExperimentRunner runner;
+    const auto results = runner.runSchemes(
         cfg, {SchemeSpec::snuca(), SchemeSpec::cdcs()}, mix);
     // Fig. 11b: S-NUCA's LLC net latency is many times CDCS's.
     EXPECT_GT(results[0].avgOnChipLatency(),
@@ -69,7 +71,8 @@ TEST(IntegrationTest, RnucaHasLowOnChipLatency)
     // latency on LLC accesses (Fig. 11b), but poor capacity use.
     const MixSpec mix = MixSpec::cpu(12, 67);
     const SystemConfig cfg = integrationConfig();
-    const auto results = runSchemes(
+    ExperimentRunner runner;
+    const auto results = runner.runSchemes(
         cfg, {SchemeSpec::snuca(), SchemeSpec::rnuca()}, mix);
     EXPECT_LT(results[1].avgOnChipLatency(),
               results[0].avgOnChipLatency() * 0.5);
@@ -79,7 +82,8 @@ TEST(IntegrationTest, SnucaGeneratesMostTraffic)
 {
     const MixSpec mix = MixSpec::cpu(12, 71);
     const SystemConfig cfg = integrationConfig();
-    const auto results = runSchemes(
+    ExperimentRunner runner;
+    const auto results = runner.runSchemes(
         cfg, {SchemeSpec::snuca(), SchemeSpec::cdcs()}, mix);
     const auto total = [](const RunResult &r) {
         return r.trafficFlitHops[0] + r.trafficFlitHops[1] +
@@ -94,7 +98,8 @@ TEST(IntegrationTest, CdcsEnergyBelowSnuca)
     // 64 apps on 64 cores); use a contended mix here too.
     const MixSpec mix = MixSpec::cpu(24, 73);
     const SystemConfig cfg = integrationConfig();
-    const auto results = runSchemes(
+    ExperimentRunner runner;
+    const auto results = runner.runSchemes(
         cfg, {SchemeSpec::snuca(), SchemeSpec::cdcs()}, mix);
     const double snuca_epi =
         results[0].energy.total() / results[0].totalInstrs;
@@ -118,7 +123,8 @@ TEST(IntegrationTest, MoveSchemeOrdering)
     SchemeSpec bulk = SchemeSpec::cdcs();
     bulk.moves = MoveScheme::BulkInvalidate;
 
-    const auto results = runSchemes(
+    ExperimentRunner runner;
+    const auto results = runner.runSchemes(
         cfg, {SchemeSpec::snuca(), instant, background, bulk}, mix);
     const double ws_instant = weightedSpeedup(results[1], results[0]);
     const double ws_bg = weightedSpeedup(results[2], results[0]);
@@ -136,7 +142,8 @@ TEST(IntegrationTest, BackgroundMovesPerformLikeInvalidations)
     SystemConfig cfg = integrationConfig();
     SchemeSpec moves = SchemeSpec::cdcs();
     moves.moves = MoveScheme::BackgroundMoves;
-    const auto results = runSchemes(
+    ExperimentRunner runner;
+    const auto results = runner.runSchemes(
         cfg, {SchemeSpec::snuca(), SchemeSpec::cdcs(), moves}, mix);
     const double ws_inv = weightedSpeedup(results[1], results[0]);
     const double ws_mov = weightedSpeedup(results[2], results[0]);
@@ -154,7 +161,8 @@ TEST(IntegrationTest, MultithreadedSharedHeavyPrefersClustering)
     // shared VC must not lose to spreading them.
     const MixSpec mix = MixSpec::named({"ilbdc", "mgrid"}, 83);
     SystemConfig cfg = integrationConfig();
-    const auto results = runSchemes(
+    ExperimentRunner runner;
+    const auto results = runner.runSchemes(
         cfg,
         {SchemeSpec::snuca(), SchemeSpec::jigsaw(InitialSched::Random),
          SchemeSpec::jigsaw(InitialSched::Clustered),
@@ -173,7 +181,8 @@ TEST(IntegrationTest, FactorVariantsAreOrderedSanely)
     // materially, and +LTD should be best-or-close.
     const MixSpec mix = MixSpec::cpu(10, 89);
     const SystemConfig cfg = integrationConfig();
-    const auto results = runSchemes(
+    ExperimentRunner runner;
+    const auto results = runner.runSchemes(
         cfg,
         {SchemeSpec::snuca(), SchemeSpec::factor(false, false, false),
          SchemeSpec::factor(true, true, true)},
@@ -202,9 +211,10 @@ TEST(IntegrationTest, BankGranularCdcsKeepsMostOfTheGain)
     bank_spec.cdcsOpts.placeGranule = 2048.0;
     bank_spec.cdcsOpts.minAllocLines = 2048.0;
 
-    const auto fine = runSchemes(
+    ExperimentRunner runner;
+    const auto fine = runner.runSchemes(
         fine_cfg, {SchemeSpec::snuca(), SchemeSpec::cdcs()}, mix);
-    const auto bank = runSchemes(
+    const auto bank = runner.runSchemes(
         bank_cfg, {SchemeSpec::snuca(), bank_spec}, mix);
     const double ws_fine = weightedSpeedup(fine[1], fine[0]);
     const double ws_bank = weightedSpeedup(bank[1], bank[0]);

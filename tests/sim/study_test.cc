@@ -297,20 +297,6 @@ runStudyWithWorkers(const char *name, const Overrides &ov,
     return sink.str();
 }
 
-TEST(NocStudyTest, DefaultOutputByteIdenticalToExplicitZeroLoad)
-{
-    // The default network model is the zero-load adapter; naming it
-    // explicitly must not change a study's bytes (the in-process
-    // version of the CI diff).
-    const std::string default_out = runFig11(tinyOverrides());
-    Overrides explicit_ov = tinyOverrides();
-    std::string err;
-    ASSERT_TRUE(explicit_ov.add("noc=zero-load", &err)) << err;
-    const std::string explicit_out = runFig11(explicit_ov);
-    ASSERT_FALSE(default_out.empty());
-    EXPECT_EQ(default_out, explicit_out);
-}
-
 TEST(NocStudyTest, SensitivityDeterministicAcrossWorkerCounts)
 {
     const Overrides ov = tinyOverrides();
@@ -331,21 +317,6 @@ TEST(NocStudyTest, HeatmapDeterministicAcrossWorkerCounts)
         runStudyWithWorkers("noc_heatmap", ov, 4);
     ASSERT_FALSE(serial.empty());
     EXPECT_EQ(serial, parallel);
-}
-
-TEST(NocStudyTest, DefaultOutputByteIdenticalToZeroLoadPlacementCost)
-{
-    // Under the default zero-load network model the contention-aware
-    // placement cost oracle carries no waits, so pinning the flat hop
-    // arithmetic explicitly must not change a study's bytes (the
-    // in-process version of the CI oracle-refactor diff).
-    const std::string default_out = runFig11(tinyOverrides());
-    Overrides pinned_ov = tinyOverrides();
-    std::string err;
-    ASSERT_TRUE(pinned_ov.add("placementCost=zero-load", &err)) << err;
-    const std::string pinned_out = runFig11(pinned_ov);
-    ASSERT_FALSE(default_out.empty());
-    EXPECT_EQ(default_out, pinned_out);
 }
 
 TEST(NocStudyTest, PlacementContentionDeterministicAcrossWorkerCounts)
