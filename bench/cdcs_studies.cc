@@ -8,8 +8,8 @@
  *   cdcs_studies run fig11 fig12 --set meshWidth=16 --set mixes=8
  *   cdcs_studies run all --format=json
  *
- * `--set key=value` overrides are typed and validated; the CDCS_*
- * environment knobs (EXPERIMENTS.md) remain as defaults. With the
+ * `--set key=value` overrides and the CDCS_* environment knobs
+ * (EXPERIMENTS.md) are typed and validated alike. With the
  * default text format and default knobs, `run <study>` output is
  * byte-identical to the legacy per-figure harness it replaced.
  */

@@ -28,10 +28,7 @@ const StudyRegistrar registrar([] {
     spec.category = "figure";
     spec.defaultMixes = 1;
     spec.lineup = {"cdcs"};
-    spec.configure = [](SystemConfig &cfg) {
-        cfg.traceIpc = true;
-        cfg.traceBinCycles = envOr("CDCS_TRACE_BIN", 25000);
-    };
+    spec.configure = [](SystemConfig &cfg) { cfg.traceIpc = true; };
     spec.run = [](StudyContext &ctx) {
         ctx.header(1);
         const MixSpec mix = MixSpec::cpu(64, 7000);

@@ -67,8 +67,8 @@ const StudyRegistrar registrar([] {
     spec.category = "table";
     spec.defaultMixes = 1;
     spec.run = [](StudyContext &ctx) {
-        const int iters = static_cast<int>(
-            ctx.knob("table3Iters", "CDCS_TABLE3_ITERS", 5));
+        const int iters =
+            static_cast<int>(ctx.knob("table3Iters", 5));
 
         ctx.sink.printf("== Table 3: CDCS reconfiguration runtime "
                         "(%d invocations each, Mcycles at 2 GHz) "

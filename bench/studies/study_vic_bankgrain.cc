@@ -43,8 +43,7 @@ const StudyRegistrar registrar([] {
         bank_spec.cdcsOpts.sizeHysteresis = 0.4;
         bank_spec.name = "CDCS-bank";
 
-        const int apps =
-            static_cast<int>(ctx.knob("apps", "CDCS_APPS", 48));
+        const int apps = static_cast<int>(ctx.knob("apps", 48));
         const auto mix_of = [&](int m) {
             return MixSpec::cpu(apps, 9800 + m);
         };

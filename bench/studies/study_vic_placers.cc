@@ -34,8 +34,8 @@ const StudyRegistrar registrar([] {
         {
             SchemeSpec sa = schemeByName("cdcs");
             sa.placer = PlacerKind::Annealed;
-            sa.saIterations = static_cast<int>(
-                ctx.knob("saIters", "CDCS_SA_ITERS", 5000));
+            sa.saIterations =
+                static_cast<int>(ctx.knob("saIters", 5000));
             sa.name = "CDCS+SA";
             schemes.push_back(sa);
         }

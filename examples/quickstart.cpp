@@ -11,29 +11,22 @@
  *   cmake -B build -G Ninja && cmake --build build
  *   ./build/example_quickstart
  *   ./build/example_quickstart meshWidth=8 meshHeight=8 epochs=12
+ *   CDCS_WORKERS=1 ./build/example_quickstart
  */
 
 #include <cstdio>
 
-#include "sim/experiment_runner.hh"
-#include "sim/overrides.hh"
-#include "sim/scheme_registry.hh"
+#include "sim/study.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace cdcs;
 
-    // A 4x4-tile CMP with 512 KB LLC banks (an 8 MB NUCA LLC).
-    SystemConfig cfg;
-    cfg.meshWidth = 4;
-    cfg.meshHeight = 4;
-    cfg.accessesPerThreadEpoch = 20000;
-    cfg.epochs = 8;
-    cfg.warmupEpochs = 4;
-
     // Any key=value argument overrides the config, with the same
-    // typed parser behind `cdcs_studies --set`.
+    // typed parser behind `cdcs_studies --set`; the CDCS_* environment
+    // (e.g. CDCS_WORKERS=1 for a serial run) ranks below the settings
+    // here, as a study's own settings do.
     Overrides overrides;
     std::string err;
     for (int i = 1; i < argc; i++) {
@@ -42,7 +35,19 @@ main(int argc, char **argv)
             return 1;
         }
     }
-    overrides.apply(cfg);
+    if (!overrides.addEnvironment(&err)) {
+        std::fprintf(stderr, "%s\n", err.c_str());
+        return 1;
+    }
+    // A 4x4-tile CMP with 512 KB LLC banks (an 8 MB NUCA LLC).
+    SystemConfig cfg;
+    overrides.apply(cfg, [](SystemConfig &c) {
+        c.meshWidth = 4;
+        c.meshHeight = 4;
+        c.accessesPerThreadEpoch = 20000;
+        c.epochs = 8;
+        c.warmupEpochs = 4;
+    });
 
     // Eight random SPEC-CPU2006-like applications.
     const MixSpec mix = MixSpec::cpu(8, /*seed=*/123);
@@ -52,9 +57,9 @@ main(int argc, char **argv)
                 mix.count, cfg.meshWidth, cfg.meshHeight);
 
     // Both schemes run concurrently on the experiment engine's
-    // work-stealing pool (CDCS_WORKERS=1 forces serial). The lineup
-    // comes from the SchemeRegistry — the same names study specs use.
-    ExperimentRunner runner;
+    // work-stealing pool (workers=1 forces serial). The lineup comes
+    // from the SchemeRegistry — the same names study specs use.
+    ExperimentRunner runner(runnerOptions(overrides));
     const auto results = runner.runSchemes(
         cfg, schemesByName({"snuca", "cdcs"}), mix);
     const RunResult &snuca = results[0];

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <string>
 
 #include "common/log.hh"
@@ -24,13 +23,6 @@ thread_local bool inside_pool = false;
 unsigned
 WorkStealingPool::defaultWorkers()
 {
-    const char *env = std::getenv("CDCS_WORKERS");
-    if (env != nullptr && *env != '\0') {
-        const unsigned n =
-            static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-        if (n > 0)
-            return n;
-    }
     return std::max(1u, std::thread::hardware_concurrency());
 }
 

@@ -93,10 +93,7 @@ class WorkStealingPool
         return idleNs.load();
     }
 
-    /**
-     * CDCS_WORKERS environment override, else the hardware thread
-     * count (CDCS_WORKERS=1 forces serial execution everywhere).
-     */
+    /** The hardware thread count (at least 1). */
     static unsigned defaultWorkers();
 
   private:

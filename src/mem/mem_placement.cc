@@ -15,7 +15,6 @@ D2ChoiceMemPlacement::D2ChoiceMemPlacement(const Mesh &mesh,
     const auto ctrls = static_cast<std::size_t>(mesh.numMemCtrls());
     ctrlLoad.assign(ctrls, 0.0);
     epochAccesses.assign(ctrls, 0);
-    totalAccesses.assign(ctrls, 0);
 }
 
 int
@@ -40,7 +39,6 @@ D2ChoiceMemPlacement::controllerFor(TileId core, LineAddr line)
     }
     const auto c = static_cast<std::size_t>(*pin);
     epochAccesses[c]++;
-    totalAccesses[c]++;
     return *pin;
 }
 
@@ -71,7 +69,6 @@ ContentionMemPlacement::ContentionMemPlacement(
     cdcs_assert(ctrls <= UINT16_MAX, "page records hold 16-bit controllers");
     ctrlLoad.assign(ctrls, 0.0);
     epochAccesses.assign(ctrls, 0);
-    totalAccesses.assign(ctrls, 0);
 }
 
 int
@@ -88,7 +85,6 @@ ContentionMemPlacement::controllerFor(TileId core, LineAddr line)
     info.epochAccesses++;
     const auto c = static_cast<std::size_t>(info.ctrl);
     epochAccesses[c]++;
-    totalAccesses[c]++;
     return info.ctrl;
 }
 

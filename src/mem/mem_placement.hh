@@ -104,15 +104,6 @@ class MemPlacementPolicy
     /** Pages re-pinned over the run (0 for static policies). */
     virtual std::uint64_t migratedPages() const { return 0; }
 
-    /**
-     * Accesses charged per controller since construction; empty for
-     * policies that keep no load accounting.
-     */
-    virtual std::vector<std::uint64_t> controllerAccesses() const
-    {
-        return {};
-    }
-
   protected:
     const Mesh &topo;
 
@@ -186,11 +177,6 @@ class D2ChoiceMemPlacement final : public MemPlacementPolicy
     int controllerFor(TileId core, LineAddr line) override;
     void epochUpdate(NocModel &noc, double elapsed_cycles) override;
 
-    std::vector<std::uint64_t> controllerAccesses() const override
-    {
-        return totalAccesses;
-    }
-
   private:
     double smoothing;
     /** First-touch page-to-controller pins. */
@@ -199,8 +185,6 @@ class D2ChoiceMemPlacement final : public MemPlacementPolicy
     std::vector<double> ctrlLoad;
     /** Accesses per controller this epoch. */
     std::vector<std::uint64_t> epochAccesses;
-    /** Accesses per controller since construction. */
-    std::vector<std::uint64_t> totalAccesses;
     bool seeded = false; ///< ctrlLoad holds at least one epoch.
 };
 
@@ -275,10 +259,6 @@ class ContentionMemPlacement final : public MemPlacementPolicy
     void epochUpdate(NocModel &noc, double elapsed_cycles) override;
 
     std::uint64_t migratedPages() const override { return migrated; }
-    std::vector<std::uint64_t> controllerAccesses() const override
-    {
-        return totalAccesses;
-    }
 
   private:
     /** Per-page record, packed to 12 B (one per touched page). */
@@ -301,8 +281,6 @@ class ContentionMemPlacement final : public MemPlacementPolicy
     std::vector<double> ctrlLoad;
     /** Accesses per controller this epoch. */
     std::vector<std::uint64_t> epochAccesses;
-    /** Accesses per controller since construction. */
-    std::vector<std::uint64_t> totalAccesses;
     std::uint64_t migrated = 0;
     bool seeded = false; ///< ctrlLoad holds at least one epoch.
     int epochCount = 0;  ///< Rebalances so far (cooldown clock).

@@ -90,9 +90,6 @@ class ContentionNoc final : public NocModel
 
     std::vector<NocLinkStat> linkStats() const override;
 
-    /** Number of tracked links (mesh links + mem attach links). */
-    std::size_t numLinks() const { return linkFlits.size(); }
-
   protected:
     void routeMsg(TileId src, TileId dst,
                   std::uint32_t flits) override;

@@ -1,7 +1,5 @@
 #include "sim/experiment.hh"
 
-#include <cstdlib>
-
 #include "common/log.hh"
 #include "common/stats.hh"
 
@@ -50,25 +48,6 @@ weightedSpeedup(const RunResult &run, const RunResult &baseline)
     if (ratios.empty())
         return 1.0;
     return mean(ratios);
-}
-
-std::uint64_t
-envOr(const char *name, std::uint64_t fallback)
-{
-    const char *value = std::getenv(name);
-    if (value == nullptr || *value == '\0')
-        return fallback;
-    return std::strtoull(value, nullptr, 10);
-}
-
-SystemConfig
-benchConfig()
-{
-    SystemConfig cfg;
-    cfg.accessesPerThreadEpoch = envOr("CDCS_EPOCH_ACCESSES", 40000);
-    cfg.epochs = static_cast<int>(envOr("CDCS_EPOCHS", 8));
-    cfg.warmupEpochs = static_cast<int>(envOr("CDCS_WARMUP", 4));
-    return cfg;
 }
 
 } // namespace cdcs

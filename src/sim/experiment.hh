@@ -1,11 +1,9 @@
 /**
  * @file
  * Experiment harness helpers shared by the bench binaries: mix
- * construction, per-scheme runs with identical workload streams,
- * weighted-speedup computation against the S-NUCA baseline, and
- * environment-variable knobs for scaling the (scaled-down) default
- * methodology up or down. Parallel scheme x mix sweeps live in
- * sim/experiment_runner.hh.
+ * construction, per-scheme runs with identical workload streams and
+ * weighted-speedup computation against the S-NUCA baseline. Parallel
+ * scheme x mix sweeps live in sim/experiment_runner.hh.
  */
 
 #ifndef CDCS_SIM_EXPERIMENT_HH
@@ -78,18 +76,6 @@ RunResult runScheme(const SystemConfig &cfg, const SchemeSpec &scheme,
  * processes of the per-process throughput ratio [Snavely & Tullsen].
  */
 double weightedSpeedup(const RunResult &run, const RunResult &baseline);
-
-/** Integer environment knob with default (e.g., CDCS_MIXES). */
-std::uint64_t envOr(const char *name, std::uint64_t fallback);
-
-/**
- * Default scaled-down methodology configuration for the studies,
- * honoring CDCS_EPOCH_ACCESSES / CDCS_EPOCHS / CDCS_WARMUP
- * environment overrides (see EXPERIMENTS.md). `--set` overrides are
- * applied on top by runStudy (sim/study.hh); mix counts resolve
- * through Overrides::knob.
- */
-SystemConfig benchConfig();
 
 } // namespace cdcs
 

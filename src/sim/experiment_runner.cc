@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <type_traits>
 
 #include "common/format.hh"
 #include "common/json.hh"
@@ -121,44 +122,27 @@ ExperimentRunner::cacheKey(const SystemConfig &cfg,
                            const MixSpec &mix)
 {
     std::string key;
-    key.reserve(512);
-    // SystemConfig.
-    appendF(key,
-            "cfg:%d,%d,%d,%" PRIu64 ",%u,%" PRIu64 ",%" PRIu64
-            ",%" PRIu64 ",%" PRIu64 ",%u,%u,%d,%.17g,%d,%" PRIu64
-            ",%d,%d,%u,%d,%" PRIu64 ",%d,%" PRIu64 ",%.17g,%.17g|",
-            cfg.meshWidth, cfg.meshHeight, cfg.banksPerTile,
-            cfg.bankLines, cfg.bankWays, cfg.bankLatency,
-            cfg.memLatency, cfg.noc.routerCycles, cfg.noc.linkCycles,
-            cfg.noc.flitBits, cfg.noc.headerBits,
-            cfg.modelMemBandwidth ? 1 : 0, cfg.memLinesPerCycle,
-            cfg.memChannels,
-            cfg.accessesPerThreadEpoch, cfg.epochs, cfg.warmupEpochs,
-            cfg.chunkAccesses, cfg.traceIpc ? 1 : 0,
-            cfg.traceBinCycles, static_cast<int>(cfg.moveCfg.moves),
-            cfg.seed, cfg.allocGranuleLines, cfg.monitorSmoothing);
-    appendF(key,
-            "mv:%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%.17g|",
-            cfg.moveCfg.walkCyclesPerSet, cfg.moveCfg.walkDelay,
-            cfg.moveCfg.bulkCyclesPerSet, cfg.moveCfg.allocHysteresis);
-    appendF(key, "noc:%s,%.17g,%.17g|", cfg.nocModel.c_str(),
-            cfg.nocInjScale, cfg.nocMaxUtil);
-    appendF(key, "pcost:%s|", cfg.placementCost.c_str());
-    appendF(key, "memp:%s|", cfg.memPlacement.c_str());
-    // Far-memory tier (all-defaults keeps a stable section, like
-    // traf: below).
-    appendF(key, "tier:%.17g,%" PRIu64 ",%d,%.17g,%s|",
-            cfg.farMemRatio, cfg.farMemLatency, cfg.farMemChannels,
-            cfg.farMemLinesPerCycle, cfg.memTiering.c_str());
-    // Dynamic traffic (all-defaults keeps a stable section, so the
-    // static studies' keys still differ only where behavior does).
-    appendF(key,
-            "traf:%.17g,%.17g,%" PRIu64 ",%" PRIu64 ",%d,%d,%.17g,"
-            "%s|",
-            cfg.skewAlpha, cfg.skewFraction, cfg.skewLines,
-            cfg.skewHotLines, cfg.skewPageHot ? 1 : 0,
-            cfg.skewDriftEpochs, cfg.skewDriftFraction,
-            cfg.churn.c_str());
+    key.reserve(1024);
+    // SystemConfig: every keyed entry of its field list.
+    forEachField(cfg, [&key](const char *name, const auto &field,
+                             const FieldRule &rule) {
+        using T =
+            std::remove_cv_t<std::remove_reference_t<decltype(field)>>;
+        if (rule.unkeyedReason != nullptr)
+            return;
+        key += name;
+        key += '=';
+        if constexpr (std::is_same_v<T, std::string>)
+            key += field;
+        else if constexpr (std::is_floating_point_v<T>)
+            appendF(key, "%.17g", field);
+        else if constexpr (std::is_enum_v<T>)
+            key += std::to_string(static_cast<int>(field));
+        else
+            key += std::to_string(field);
+        key += ';';
+    });
+    key += '|';
     // SchemeSpec (name excluded: it is a label, not behavior).
     appendF(key,
             "spec:%d,%d,%d,%d,%u,%u,%u,%d,%d,%d,%d,%d,%.17g,%.17g,"

@@ -10,7 +10,7 @@
  * SchemeSpec, MixSpec) — all RNG streams are derived from the config
  * and mix seeds, never from scheduling order — and aggregation
  * iterates results in a fixed order, so a sweep produces bit-identical
- * output whether it runs serially (CDCS_WORKERS=1) or on all cores.
+ * output whether it runs serially (workers=1) or on all cores.
  */
 
 #ifndef CDCS_SIM_EXPERIMENT_RUNNER_HH
@@ -68,9 +68,10 @@ class ExperimentRunner
     struct Options
     {
         /**
-         * Worker threads; 0 honors CDCS_WORKERS and falls back to the
-         * hardware thread count. 1 forces serial in-order execution
-         * (the determinism-check mode).
+         * Worker threads; 0 picks the hardware thread count (the CLI
+         * resolves `workers=`/CDCS_WORKERS through runnerOptions). 1
+         * forces serial in-order execution (the determinism-check
+         * mode).
          */
         unsigned workers = 0;
 

@@ -1,13 +1,14 @@
 #include "sim/overrides.hh"
 
 #include <algorithm>
-#include <cctype>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
-#include <utility>
+#include <type_traits>
 
 #include "cache/cache_array.hh"
-#include "common/log.hh"
 #include "workload/traffic.hh"
 
 namespace cdcs
@@ -33,280 +34,46 @@ parseBool(const std::string &text, bool *out)
 }
 
 /**
- * Parse `entry.value` into the slot `type` selects. Strict: no
- * leading whitespace or stray suffixes (strtoull would otherwise
- * skip whitespace and wrap "-5" to 2^64-5).
+ * Parse `text` as a T. Strict: no whitespace, `+` sign, stray suffix,
+ * sign on an unsigned type, value past the type's range, or
+ * non-finite double. `*out` is written only on success.
  */
+template <typename T>
 bool
-parseInto(Override &entry, const char *type)
+parseAs(const std::string &text, T *out)
 {
-    const std::string &text = entry.value;
-    const std::string t = type;
-    if (t == "string")
+    if constexpr (std::is_same_v<T, std::string>) {
+        *out = text;
         return true;
-    if (text.empty())
-        return false;
-    const char first = text[0];
-    char *end = nullptr;
-    if (t == "int") {
-        if (!std::isdigit(static_cast<unsigned char>(first)) &&
-            first != '-')
+    } else if constexpr (std::is_same_v<T, bool>) {
+        return parseBool(text, out);
+    } else if constexpr (std::is_arithmetic_v<T>) {
+        const char *last = text.data() + text.size();
+        T value{};
+        const auto [end, ec] = std::from_chars(text.data(), last, value);
+        if (ec != std::errc() || end != last || !std::isfinite(value))
             return false;
-        entry.i = std::strtoll(text.c_str(), &end, 10);
-        return *end == '\0';
-    }
-    if (t == "uint") {
-        if (!std::isdigit(static_cast<unsigned char>(first)))
-            return false;
-        entry.u = std::strtoull(text.c_str(), &end, 10);
-        return *end == '\0';
-    }
-    if (t == "double") {
-        if (!std::isdigit(static_cast<unsigned char>(first)) &&
-            first != '-' && first != '+' && first != '.')
-            return false;
-        entry.d = std::strtod(text.c_str(), &end);
-        return *end == '\0';
-    }
-    if (t == "bool") {
-        if (!parseBool(text, &entry.b))
-            return false;
-        entry.u = entry.b ? 1 : 0;
+        *out = value;
         return true;
+    } else {
+        return false; // Enums: only code sets them.
     }
-    return false;
 }
 
-struct KeyDef
+template <typename T>
+const char *
+typeName()
 {
-    const char *name;
-    const char *type;
-    /** Null for study knobs (consumed via Overrides::knob). */
-    void (*set)(SystemConfig &, const Override &);
-    /** Minimum accepted value for int/uint keys. */
-    long long min = 0;
-    /**
-     * Space-separated accepted values of a string key that names a
-     * model; null accepts any value. Platform builds one model per
-     * name (and dies on any other), so the two lists move together.
-     */
-    const char *choices = nullptr;
-};
-
-/**
- * Every overridable SystemConfig field. Key names match the struct
- * fields (EXPERIMENTS.md documents the few renames: epochAccesses,
- * warmup).
- */
-const KeyDef configKeys[] = {
-    {"meshWidth", "int",
-     [](SystemConfig &c, const Override &v) {
-         c.meshWidth = static_cast<int>(v.i);
-     },
-     /*min=*/1},
-    {"meshHeight", "int",
-     [](SystemConfig &c, const Override &v) {
-         c.meshHeight = static_cast<int>(v.i);
-     },
-     /*min=*/1},
-    {"banksPerTile", "int",
-     [](SystemConfig &c, const Override &v) {
-         c.banksPerTile = static_cast<int>(v.i);
-     },
-     /*min=*/1},
-    {"bankLines", "uint",
-     [](SystemConfig &c, const Override &v) { c.bankLines = v.u; },
-     /*min=*/1},
-    {"bankWays", "uint",
-     [](SystemConfig &c, const Override &v) {
-         c.bankWays = static_cast<std::uint32_t>(v.u);
-     },
-     /*min=*/1},
-    {"bankLatency", "uint",
-     [](SystemConfig &c, const Override &v) { c.bankLatency = v.u; }},
-    {"memLatency", "uint",
-     [](SystemConfig &c, const Override &v) { c.memLatency = v.u; }},
-    {"routerCycles", "uint",
-     [](SystemConfig &c, const Override &v) {
-         c.noc.routerCycles = v.u;
-     }},
-    {"linkCycles", "uint",
-     [](SystemConfig &c, const Override &v) {
-         c.noc.linkCycles = v.u;
-     }},
-    {"modelMemBandwidth", "bool",
-     [](SystemConfig &c, const Override &v) {
-         c.modelMemBandwidth = v.b;
-     }},
-    {"memLinesPerCycle", "double",
-     [](SystemConfig &c, const Override &v) {
-         c.memLinesPerCycle = v.d;
-     }},
-    {"memChannels", "int",
-     [](SystemConfig &c, const Override &v) {
-         c.memChannels = static_cast<int>(v.i);
-     },
-     /*min=*/1},
-    {"memPlacement", "string",
-     [](SystemConfig &c, const Override &v) {
-         c.memPlacement = v.value;
-     },
-     /*min=*/0, "interleave first-touch d2choice contention"},
-    {"farMemRatio", "double",
-     [](SystemConfig &c, const Override &v) { c.farMemRatio = v.d; }},
-    {"farMemLatency", "uint",
-     [](SystemConfig &c, const Override &v) {
-         c.farMemLatency = v.u;
-     }},
-    {"farMemChannels", "int",
-     [](SystemConfig &c, const Override &v) {
-         c.farMemChannels = static_cast<int>(v.i);
-     },
-     /*min=*/1},
-    {"farMemLinesPerCycle", "double",
-     [](SystemConfig &c, const Override &v) {
-         c.farMemLinesPerCycle = v.d;
-     }},
-    {"memTiering", "string",
-     [](SystemConfig &c, const Override &v) {
-         c.memTiering = v.value;
-     },
-     /*min=*/0, "static hotness"},
-    {"noc", "string",
-     [](SystemConfig &c, const Override &v) {
-         c.nocModel = v.value;
-     },
-     /*min=*/0, "zero-load contention"},
-    {"nocInjScale", "double",
-     [](SystemConfig &c, const Override &v) {
-         c.nocInjScale = v.d;
-     }},
-    {"nocMaxUtil", "double",
-     [](SystemConfig &c, const Override &v) {
-         c.nocMaxUtil = v.d;
-     }},
-    {"placementCost", "string",
-     [](SystemConfig &c, const Override &v) {
-         c.placementCost = v.value;
-     },
-     /*min=*/0, "noc zero-load"},
-    {"skewAlpha", "double",
-     [](SystemConfig &c, const Override &v) { c.skewAlpha = v.d; }},
-    {"skewFraction", "double",
-     [](SystemConfig &c, const Override &v) {
-         c.skewFraction = v.d;
-     }},
-    {"skewLines", "uint",
-     [](SystemConfig &c, const Override &v) { c.skewLines = v.u; },
-     /*min=*/1},
-    {"skewHotLines", "uint",
-     [](SystemConfig &c, const Override &v) {
-         c.skewHotLines = v.u;
-     },
-     /*min=*/1},
-    {"skewPageHot", "bool",
-     [](SystemConfig &c, const Override &v) {
-         c.skewPageHot = v.b;
-     }},
-    {"skewDriftEpochs", "int",
-     [](SystemConfig &c, const Override &v) {
-         c.skewDriftEpochs = static_cast<int>(v.i);
-     }},
-    {"skewDriftFraction", "double",
-     [](SystemConfig &c, const Override &v) {
-         c.skewDriftFraction = v.d;
-     }},
-    {"churn", "string",
-     [](SystemConfig &c, const Override &v) { c.churn = v.value; }},
-    {"epochAccesses", "uint",
-     [](SystemConfig &c, const Override &v) {
-         c.accessesPerThreadEpoch = v.u;
-     }},
-    {"epochs", "int",
-     [](SystemConfig &c, const Override &v) {
-         c.epochs = static_cast<int>(v.i);
-     }},
-    {"warmup", "int",
-     [](SystemConfig &c, const Override &v) {
-         c.warmupEpochs = static_cast<int>(v.i);
-     }},
-    {"chunkAccesses", "uint",
-     [](SystemConfig &c, const Override &v) {
-         c.chunkAccesses = static_cast<std::uint32_t>(v.u);
-     },
-     /*min=*/1},
-    {"traceIpc", "bool",
-     [](SystemConfig &c, const Override &v) { c.traceIpc = v.b; }},
-    {"traceBinCycles", "uint",
-     [](SystemConfig &c, const Override &v) {
-         c.traceBinCycles = v.u;
-     },
-     /*min=*/1},
-    {"seed", "uint",
-     [](SystemConfig &c, const Override &v) { c.seed = v.u; }},
-    {"stats", "string",
-     [](SystemConfig &c, const Override &v) {
-         c.statsFilter = v.value;
-     }},
-    {"statsEvery", "int",
-     [](SystemConfig &c, const Override &v) {
-         c.statsEvery = static_cast<int>(v.i);
-     },
-     /*min=*/1},
-    {"allocGranuleLines", "double",
-     [](SystemConfig &c, const Override &v) {
-         c.allocGranuleLines = v.d;
-     }},
-    {"monitorSmoothing", "double",
-     [](SystemConfig &c, const Override &v) {
-         c.monitorSmoothing = v.d;
-     }},
-    {"allocHysteresis", "double",
-     [](SystemConfig &c, const Override &v) {
-         c.moveCfg.allocHysteresis = v.d;
-     }},
-    {"walkDelay", "uint",
-     [](SystemConfig &c, const Override &v) {
-         c.moveCfg.walkDelay = v.u;
-     }},
-    {"walkCyclesPerSet", "uint",
-     [](SystemConfig &c, const Override &v) {
-         c.moveCfg.walkCyclesPerSet = v.u;
-     }},
-    {"bulkCyclesPerSet", "uint",
-     [](SystemConfig &c, const Override &v) {
-         c.moveCfg.bulkCyclesPerSet = v.u;
-     }},
-};
-
-/** Study-level knobs (read by runStudy / study bodies via knob()). */
-const KeyDef knobKeys[] = {
-    {"mixes", "uint", nullptr},       // CDCS_MIXES
-    {"workers", "uint", nullptr},     // CDCS_WORKERS
-    {"apps", "uint", nullptr},        // CDCS_APPS
-    {"saIters", "uint", nullptr},     // CDCS_SA_ITERS
-    {"table3Iters", "uint", nullptr}, // CDCS_TABLE3_ITERS
-    {"cache", "bool", nullptr},       // CDCS_CACHE
-    {"cacheBudget", "uint", nullptr}, // CDCS_CACHE_BUDGET
-    {"cacheDir", "string", nullptr},  // CDCS_CACHE_DIR
-    {"cacheStats", "bool", nullptr},  // CDCS_CACHE_STATS
-    {"timing", "bool", nullptr},      // CDCS_TIMING
-    {"trace", "string", nullptr},     // CDCS_TRACE
-    {"jsonDir", "string", nullptr},   // CDCS_JSON_DIR
-};
-
-const KeyDef *
-findKey(const std::string &name)
-{
-    for (const KeyDef &k : configKeys) {
-        if (name == k.name)
-            return &k;
-    }
-    for (const KeyDef &k : knobKeys) {
-        if (name == k.name)
-            return &k;
-    }
-    return nullptr;
+    if constexpr (std::is_same_v<T, std::string>)
+        return "string";
+    else if constexpr (std::is_same_v<T, bool>)
+        return "bool";
+    else if constexpr (std::is_floating_point_v<T>)
+        return "double";
+    else if constexpr (std::is_signed_v<T>)
+        return "int";
+    else
+        return "uint";
 }
 
 std::vector<std::string>
@@ -319,7 +86,166 @@ splitChoices(const char *choices)
     return out;
 }
 
+/** Why `value` lies outside `rule`'s bounds; empty when inside. */
+std::string
+boundsProblem(double value, const FieldRule &rule)
+{
+    const auto num = [](double bound) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.15g", bound);
+        return std::string(buf);
+    };
+    if (rule.openMin ? value <= rule.min : value < rule.min)
+        return (rule.openMin ? "must be above " : "minimum ") +
+            num(rule.min);
+    if (rule.openMax ? value >= rule.max : value > rule.max)
+        return (rule.openMax ? "must be below " : "maximum ") +
+            num(rule.max);
+    return "";
+}
+
+/** Why `text` is no value of type T under `rule`; empty if it is. */
+template <typename T>
+std::string
+valueProblem(const std::string &text, const FieldRule &rule)
+{
+    T value{};
+    if (!parseAs(text, &value))
+        return std::string("expected ") + typeName<T>();
+    if constexpr (std::is_same_v<T, std::string>) {
+        const std::vector<std::string> names =
+            splitChoices(rule.choices);
+        if (!names.empty() &&
+            std::find(names.begin(), names.end(), text) == names.end()) {
+            std::string problem = "expected one of:";
+            for (const std::string &n : names)
+                problem += " " + n;
+            return problem;
+        }
+    } else if constexpr (std::is_arithmetic_v<T> &&
+                         !std::is_same_v<T, bool>) {
+        return boundsProblem(static_cast<double>(value), rule);
+    }
+    return "";
+}
+
+/**
+ * One study knob: read by runStudy, runnerOptions and the study
+ * bodies through knob()/strKnob(), never stored in SystemConfig, so
+ * its rule says why the result-cache key may leave it out.
+ */
+struct Knob
+{
+    const char *name;
+    const char *type; ///< "uint", "bool" or "string".
+    FieldRule rule;
+};
+
+using R = FieldRule;
+
+const Knob knobs[] = {
+    {"mixes", "uint", R().unkeyed("each run keys its own MixSpec")},
+    // Each worker is an OS thread: 1024 is past any host's cores and
+    // keeps a typo from asking for millions of threads.
+    {"workers", "uint", R().atMost(1024).unkeyed("parallelism only")},
+    {"apps", "uint", R().unkeyed("the mix size; MixSpec is keyed")},
+    {"saIters", "uint", R().unkeyed("copied into keyed saIterations")},
+    {"table3Iters", "uint", R().unkeyed("repeats wall-clock timing")},
+    {"cache", "bool", R().unkeyed("cached runs equal fresh ones")},
+    {"cacheBudget", "uint", R().unkeyed("bounds the cache, not a run")},
+    {"cacheDir", "string", R().unkeyed("where the result store lives")},
+    {"cacheStats", "bool", R().unkeyed("reporting-only: footers")},
+    {"timing", "bool", R().unkeyed("reporting-only: timing footer")},
+    {"trace", "string", R().unkeyed("reporting-only: trace file")},
+    {"jsonDir", "string", R().unkeyed("reporting-only: artifact dir")},
+};
+
+/** The CDCS_* environment variables and the keys they set. */
+const std::pair<const char *, const char *> envAliasTable[] = {
+    {"CDCS_MIXES", "mixes"},
+    {"CDCS_EPOCH_ACCESSES", "epochAccesses"},
+    {"CDCS_EPOCHS", "epochs"},
+    {"CDCS_WARMUP", "warmup"},
+    {"CDCS_WORKERS", "workers"},
+    {"CDCS_JSON_DIR", "jsonDir"},
+    {"CDCS_CACHE", "cache"},
+    {"CDCS_CACHE_BUDGET", "cacheBudget"},
+    {"CDCS_CACHE_DIR", "cacheDir"},
+    {"CDCS_CACHE_STATS", "cacheStats"},
+    {"CDCS_TIMING", "timing"},
+    {"CDCS_TRACE", "trace"},
+    {"CDCS_TRACE_BIN", "traceBinCycles"},
+    {"CDCS_APPS", "apps"},
+    {"CDCS_SA_ITERS", "saIters"},
+    {"CDCS_TABLE3_ITERS", "table3Iters"},
+};
+
+/**
+ * visit(key, slot, rule) for every `--set` key: each settable field
+ * of a default SystemConfig, then each study knob on a throwaway slot
+ * of its type.
+ */
+template <typename Visit>
+void
+forEachKey(Visit &&visit)
+{
+    SystemConfig defaults;
+    forEachField(defaults, [&visit](const char *name, auto &field,
+                                    const FieldRule &rule) {
+        if (rule.settable)
+            visit(name, field, rule);
+    });
+    std::uint64_t number = 0;
+    bool flag = false;
+    std::string text;
+    for (const Knob &k : knobs) {
+        const std::string type = k.type;
+        if (type == "uint")
+            visit(k.name, number, k.rule);
+        else if (type == "bool")
+            visit(k.name, flag, k.rule);
+        else
+            visit(k.name, text, k.rule);
+    }
+}
+
+/** The C++ type of a forEachKey slot. */
+template <typename Slot>
+using SlotType = std::remove_reference_t<Slot>;
+
 } // anonymous namespace
+
+bool
+Overrides::insert(std::size_t pos, std::string key, std::string value,
+                  std::string *err)
+{
+    bool known = false;
+    std::string problem;
+    forEachKey([&](const char *name, auto &slot, const FieldRule &rule) {
+        if (!known && key == name) {
+            known = true;
+            problem = valueProblem<SlotType<decltype(slot)>>(value, rule);
+        }
+    });
+    if (!known) {
+        if (err != nullptr)
+            *err = "unknown override key '" + key + "'";
+        return false;
+    }
+    if (!problem.empty()) {
+        if (err != nullptr)
+            *err = "bad value '" + value + "' for " + key + " (" +
+                problem + ")";
+        return false;
+    }
+    // The one value check the rule table cannot express.
+    if (key == "churn" &&
+        !TrafficSchedule::parseChurn(value, nullptr, err))
+        return false;
+    entries.insert(entries.begin() + static_cast<std::ptrdiff_t>(pos),
+                   Entry{std::move(key), std::move(value)});
+    return true;
+}
 
 bool
 Overrides::add(const std::string &kv, std::string *err)
@@ -331,91 +257,34 @@ Overrides::add(const std::string &kv, std::string *err)
                 "' (expected key=value)";
         return false;
     }
-    Override entry{kv.substr(0, eq), kv.substr(eq + 1)};
-    const KeyDef *def = findKey(entry.key);
-    if (def == nullptr) {
-        if (err != nullptr)
-            *err = "unknown override key '" + entry.key + "'";
-        return false;
-    }
-    if (!parseInto(entry, def->type)) {
-        if (err != nullptr)
-            *err = "bad value '" + entry.value + "' for " +
-                entry.key + " (expected " + def->type + ")";
-        return false;
-    }
-    const std::string t = def->type;
-    if ((t == "int" && entry.i < def->min) ||
-        (t == "uint" &&
-         entry.u < static_cast<std::uint64_t>(def->min))) {
-        if (err != nullptr)
-            *err = "bad value '" + entry.value + "' for " +
-                entry.key + " (minimum " +
-                std::to_string(def->min) + ")";
-        return false;
-    }
-    if (def->choices != nullptr) {
-        const std::vector<std::string> names =
-            splitChoices(def->choices);
-        if (std::find(names.begin(), names.end(), entry.value) ==
-            names.end()) {
-            if (err != nullptr) {
-                *err = "bad value '" + entry.value + "' for " +
-                    entry.key + " (expected one of:";
-                for (const std::string &n : names)
-                    *err += " " + n;
-                *err += ")";
-            }
+    return insert(entries.size(), kv.substr(0, eq), kv.substr(eq + 1),
+                  err);
+}
+
+bool
+Overrides::addEnvironment(std::string *err)
+{
+    for (const auto &[var, key] : envAliasTable) {
+        const char *value = std::getenv(var);
+        if (value == nullptr || *value == '\0')
+            continue;
+        if (!insert(envEntries, key, value, err)) {
+            if (err != nullptr)
+                *err = std::string(var) + ": " + *err;
             return false;
         }
+        envEntries++;
     }
-    // Keys with constraints the KeyDef table can't express.
-    if ((entry.key == "farMemRatio" &&
-         (entry.d < 0.0 || entry.d >= 1.0)) ||
-        (entry.key == "farMemLinesPerCycle" && entry.d <= 0.0)) {
-        if (err != nullptr)
-            *err = "bad value '" + entry.value + "' for " +
-                entry.key + " (out of range)";
-        return false;
-    }
-    if ((entry.key == "nocInjScale" && entry.d <= 0.0) ||
-        (entry.key == "nocMaxUtil" &&
-         (entry.d <= 0.0 || entry.d >= 1.0))) {
-        if (err != nullptr)
-            *err = "bad value '" + entry.value + "' for " +
-                entry.key + " (out of range)";
-        return false;
-    }
-    if ((entry.key == "skewAlpha" && entry.d < 0.0) ||
-        (entry.key == "skewFraction" &&
-         (entry.d < 0.0 || entry.d > 1.0)) ||
-        (entry.key == "skewDriftFraction" &&
-         (entry.d <= 0.0 || entry.d > 1.0))) {
-        if (err != nullptr)
-            *err = "bad value '" + entry.value + "' for " +
-                entry.key + " (out of range)";
-        return false;
-    }
-    if (entry.key == "churn" &&
-        !TrafficSchedule::parseChurn(entry.value, nullptr, err)) {
-        return false;
-    }
-    entries.push_back(std::move(entry));
     return true;
 }
 
 bool
 Overrides::validate(std::string *err) const
 {
-    const SystemConfig defaults;
-    std::uint64_t lines = defaults.bankLines;
-    std::uint64_t ways = defaults.bankWays;
-    for (const Override &entry : entries) {
-        if (entry.key == "bankLines")
-            lines = entry.u;
-        else if (entry.key == "bankWays")
-            ways = entry.u;
-    }
+    SystemConfig cfg;
+    apply(cfg);
+    const std::uint64_t lines = cfg.bankLines;
+    const std::uint64_t ways = cfg.bankWays;
     const std::string geometry = "bankLines=" + std::to_string(lines) +
         " bankWays=" + std::to_string(ways);
     std::string problem;
@@ -438,56 +307,47 @@ Overrides::validate(std::string *err) const
 }
 
 void
-Overrides::apply(SystemConfig &cfg) const
+Overrides::apply(SystemConfig &cfg,
+                 const std::function<void(SystemConfig &)> &configure)
+    const
 {
-    for (const Override &entry : entries) {
-        const KeyDef *def = findKey(entry.key);
-        cdcs_assert(def != nullptr, "unvalidated override entry");
-        if (def->set != nullptr)
-            def->set(cfg, entry);
-    }
-}
-
-const std::string *
-Overrides::find(const std::string &key) const
-{
-    const std::string *found = nullptr;
-    for (const Override &entry : entries) {
-        if (entry.key == key)
-            found = &entry.value; // Last one wins.
-    }
-    return found;
+    const auto apply_entries = [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; i++) {
+            const Entry &entry = entries[i];
+            forEachField(cfg, [&entry](const char *name, auto &field,
+                                       const FieldRule &rule) {
+                if (rule.settable && entry.key == name)
+                    parseAs(entry.value, &field);
+            });
+        }
+    };
+    apply_entries(0, envEntries);
+    if (configure)
+        configure(cfg);
+    apply_entries(envEntries, entries.size());
 }
 
 std::uint64_t
-Overrides::knob(const char *key, const char *env,
-                std::uint64_t fallback) const
+Overrides::knob(const char *key, std::uint64_t fallback) const
 {
-    const Override *found = nullptr;
-    for (const Override &entry : entries) {
-        if (entry.key == key)
-            found = &entry; // Last one wins.
-    }
-    if (found != nullptr)
-        return found->u; // Bool entries normalized to 0/1 by add().
-    if (env != nullptr) {
-        const char *value = std::getenv(env);
-        if (value != nullptr && *value != '\0')
-            return std::strtoull(value, nullptr, 10);
-    }
-    return fallback;
+    // add() accepted the value as the knob's type, so it is never
+    // empty, and "0"/"1" read the same as bool or uint.
+    const std::string value = strKnob(key, "");
+    bool flag = false;
+    if (parseBool(value, &flag))
+        return flag ? 1 : 0;
+    std::uint64_t number = fallback;
+    parseAs(value, &number);
+    return number;
 }
 
 std::string
-Overrides::strKnob(const char *key, const char *env,
-                   const std::string &fallback) const
+Overrides::strKnob(const char *key, const std::string &fallback) const
 {
-    if (const std::string *value = find(key))
-        return *value;
-    if (env != nullptr) {
-        const char *value = std::getenv(env);
-        if (value != nullptr && *value != '\0')
-            return value;
+    // Environment entries come first, so the last match wins.
+    for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+        if (it->key == key)
+            return it->value;
     }
     return fallback;
 }
@@ -495,19 +355,28 @@ Overrides::strKnob(const char *key, const char *env,
 std::vector<std::string>
 Overrides::choices(const std::string &key)
 {
-    const KeyDef *def = findKey(key);
-    return splitChoices(def != nullptr ? def->choices : nullptr);
+    std::vector<std::string> names;
+    forEachKey([&](const char *name, auto &, const FieldRule &rule) {
+        if (key == name)
+            names = splitChoices(rule.choices);
+    });
+    return names;
 }
 
 std::vector<std::pair<std::string, std::string>>
 Overrides::knownKeys()
 {
     std::vector<std::pair<std::string, std::string>> keys;
-    for (const KeyDef &k : configKeys)
-        keys.emplace_back(k.name, k.type);
-    for (const KeyDef &k : knobKeys)
-        keys.emplace_back(k.name, k.type);
+    forEachKey([&keys](const char *name, auto &slot, const FieldRule &) {
+        keys.emplace_back(name, typeName<SlotType<decltype(slot)>>());
+    });
     return keys;
+}
+
+std::vector<std::pair<std::string, std::string>>
+Overrides::envAliases()
+{
+    return {std::begin(envAliasTable), std::end(envAliasTable)};
 }
 
 } // namespace cdcs

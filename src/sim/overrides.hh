@@ -1,18 +1,20 @@
 /**
  * @file
  * Typed `key=value` configuration overrides for the study API: one
- * parser behind `cdcs_studies --set` that knows every overridable
- * SystemConfig field and study knob, validates names and value types
- * up front, and resolves the default < environment < `--set`
- * precedence (the CDCS_* env knobs of EXPERIMENTS.md remain as
- * defaults for compatibility).
+ * parser behind `cdcs_studies --set` and the CDCS_* environment. It
+ * knows every SystemConfig field through forEachField
+ * (sim/system_config.hh) and every study knob through its own table,
+ * validates names, types and bounds up front, and resolves the
+ * defaults < environment < study configure < `--set` precedence.
  */
 
 #ifndef CDCS_SIM_OVERRIDES_HH
 #define CDCS_SIM_OVERRIDES_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/system_config.hh"
@@ -20,33 +22,25 @@
 namespace cdcs
 {
 
-/** One parsed `key=value` pair (later entries win). */
-struct Override
-{
-    std::string key;
-    std::string value; ///< Raw text (string knobs, find()).
-    /**
-     * Parsed once at add() time into the slot the key's type
-     * selects; `u` additionally normalizes bool entries to 0/1 so
-     * integer knob lookups never re-parse.
-     */
-    long long i = 0;
-    std::uint64_t u = 0;
-    double d = 0.0;
-    bool b = false;
-};
-
-/** An ordered set of `--set key=value` overrides. */
+/** An ordered set of `key=value` overrides. */
 class Overrides
 {
   public:
     /**
-     * Parse one `key=value` string. Returns false (with a message in
-     * `*err`) when the input is malformed, the key is unknown, the
-     * value does not parse as the key's type, or it is not one of
-     * the key's choices().
+     * Parse one `--set key=value` string. Returns false (with a
+     * message in `*err`) when the input is malformed, the key is
+     * unknown, the value does not parse as the key's type, lies
+     * outside its bounds, or is not one of the key's choices().
      */
     bool add(const std::string &kv, std::string *err);
+
+    /**
+     * Read every set CDCS_* variable of envAliases() as an entry of
+     * its key, checked like add() and ranked below every `--set`
+     * entry whenever either is added. Returns false with a message
+     * naming the variable on the first bad value.
+     */
+    bool addEnvironment(std::string *err);
 
     /**
      * Checks across keys that add() cannot make one entry at a time.
@@ -59,29 +53,27 @@ class Overrides
     bool validate(std::string *err) const;
 
     /**
-     * Apply every SystemConfig-keyed override to `cfg` (study knobs
-     * such as `mixes` are skipped; read them with knob()). Cannot
-     * fail: every entry was validated and parsed by add().
+     * Apply the SystemConfig entries to `cfg` (study knobs such as
+     * `mixes` are read with knob()): the environment entries, then
+     * `configure` (a study's own settings), then the `--set` entries.
+     * Cannot fail: add() validated every entry.
      */
-    void apply(SystemConfig &cfg) const;
-
-    /** Last value set for `key`, or nullptr. */
-    const std::string *find(const std::string &key) const;
+    void apply(SystemConfig &cfg,
+               const std::function<void(SystemConfig &)> &configure =
+                   nullptr) const;
 
     /**
-     * Integer study knob with default < environment < `--set`
-     * precedence: a `--set key=` value wins over the `env` variable,
-     * which wins over `fallback`.
+     * Integer study knob: the last `--set` entry of `key`, else its
+     * environment entry, else `fallback`. Bool knobs read as 0/1.
      */
-    std::uint64_t knob(const char *key, const char *env,
-                      std::uint64_t fallback) const;
+    std::uint64_t knob(const char *key, std::uint64_t fallback) const;
 
     /** String-valued knob with the same precedence (e.g. jsonDir). */
-    std::string strKnob(const char *key, const char *env,
+    std::string strKnob(const char *key,
                         const std::string &fallback) const;
 
-    bool empty() const { return entries.empty(); }
-    const std::vector<Override> &all() const { return entries; }
+    /** Whether no `--set` entry was added (environment ones aside). */
+    bool empty() const { return entries.size() == envEntries; }
 
     /**
      * The values a key accepts when it names a model (`noc`,
@@ -90,12 +82,28 @@ class Overrides
      */
     static std::vector<std::string> choices(const std::string &key);
 
-    /** Every recognized key with its type, for help/docs output. */
+    /** Every `--set` key with its type, for help/docs output. */
     static std::vector<std::pair<std::string, std::string>>
     knownKeys();
 
+    /** Every CDCS_* environment variable with the key it sets. */
+    static std::vector<std::pair<std::string, std::string>>
+    envAliases();
+
   private:
-    std::vector<Override> entries;
+    struct Entry
+    {
+        std::string key;
+        std::string value;
+    };
+
+    /** Check `key=value` and insert it at `pos` of `entries`. */
+    bool insert(std::size_t pos, std::string key, std::string value,
+                std::string *err);
+
+    /** The environment entries first, then the `--set` entries. */
+    std::vector<Entry> entries;
+    std::size_t envEntries = 0;
 };
 
 } // namespace cdcs

@@ -10,7 +10,6 @@
 #include "obs/phase_timer.hh"
 #include "obs/stat_registry.hh"
 #include "obs/trace.hh"
-#include "sim/experiment.hh"
 
 namespace cdcs
 {
@@ -22,10 +21,9 @@ StudyContext::lineup() const
 }
 
 std::uint64_t
-StudyContext::knob(const char *key, const char *env,
-                   std::uint64_t fallback) const
+StudyContext::knob(const char *key, std::uint64_t fallback) const
 {
-    return overrides.knob(key, env, fallback);
+    return overrides.knob(key, fallback);
 }
 
 void
@@ -78,19 +76,16 @@ ExperimentRunner::Options
 runnerOptions(const Overrides &overrides, bool default_cache)
 {
     ExperimentRunner::Options opts;
-    opts.workers = static_cast<unsigned>(
-        overrides.knob("workers", "CDCS_WORKERS", 0));
-    opts.cacheDir =
-        overrides.strKnob("cacheDir", "CDCS_CACHE_DIR", "");
+    opts.workers = static_cast<unsigned>(overrides.knob("workers", 0));
+    opts.cacheDir = overrides.strKnob("cacheDir", "");
     // A persistent store is only useful when runs go through the
     // cache, so cacheDir= implies cache=1 (an explicit --set cache=0
     // still wins).
     opts.cacheResults =
-        overrides.knob("cache", "CDCS_CACHE",
-                       default_cache || !opts.cacheDir.empty()
-                           ? 1 : 0) != 0;
-    opts.cacheBudget = static_cast<std::size_t>(
-        overrides.knob("cacheBudget", "CDCS_CACHE_BUDGET", 1024));
+        overrides.knob("cache", default_cache || !opts.cacheDir.empty()
+                                    ? 1 : 0) != 0;
+    opts.cacheBudget =
+        static_cast<std::size_t>(overrides.knob("cacheBudget", 1024));
     return opts;
 }
 
@@ -99,18 +94,14 @@ runStudy(const StudySpec &spec, const Overrides &overrides,
          ExperimentRunner &runner, ReportSink &sink)
 {
     // Precedence: defaults < CDCS_* env < spec.configure < --set.
-    SystemConfig cfg = benchConfig();
-    if (spec.configure)
-        spec.configure(cfg);
-    overrides.apply(cfg);
+    SystemConfig cfg;
+    overrides.apply(cfg, spec.configure);
     const int mixes = static_cast<int>(overrides.knob(
-        "mixes", "CDCS_MIXES",
-        static_cast<std::uint64_t>(spec.defaultMixes)));
+        "mixes", static_cast<std::uint64_t>(spec.defaultMixes)));
 
     StudyContext ctx(spec, cfg, mixes, runner, sink, overrides);
     const ExperimentRunner::CacheStats before = runner.cacheStats();
-    const bool timing_on =
-        overrides.knob("timing", "CDCS_TIMING", 0) != 0;
+    const bool timing_on = overrides.knob("timing", 0) != 0;
     // Turn counting on before any run starts; each run resolves its
     // own `stats=` selection from its config, and the phase timers
     // charge the registry's `time.*` counters. Left on once enabled
@@ -162,8 +153,7 @@ runStudy(const StudySpec &spec, const Overrides &overrides,
             (now.storeCorrupt - before.storeCorrupt) +
             (now.shardSkipped - before.shardSkipped);
         if (now.persistent && delta > 0 &&
-            overrides.knob("cacheStats", "CDCS_CACHE_STATS", 1) !=
-                0) {
+            overrides.knob("cacheStats", 1) != 0) {
             sink.printf(
                 "[store: %llu hits, %llu misses, %llu evictions, "
                 "%llu corrupt, %llu skipped]\n",
@@ -348,17 +338,18 @@ studiesCliMain(int argc, char **argv)
             names.push_back(arg);
         }
     }
-    if (std::string err; !overrides.validate(&err)) {
-        std::fprintf(stderr, "%s\n", err.c_str());
-        return 2;
-    }
-
     if (cmd == "list") {
         if (!names.empty() || !overrides.empty() || sharded) {
             std::fprintf(stderr, "list takes only --format\n");
             return 2;
         }
         return listStudies(format);
+    }
+    // The CDCS_* environment, ranked below every --set entry.
+    if (std::string err; !overrides.addEnvironment(&err) ||
+                         !overrides.validate(&err)) {
+        std::fprintf(stderr, "%s\n", err.c_str());
+        return 2;
     }
     const bool merge = cmd == "merge";
     if (cmd != "run" && !merge) {
@@ -394,8 +385,7 @@ studiesCliMain(int argc, char **argv)
         }
     }
 
-    const std::string json_dir =
-        overrides.strKnob("jsonDir", "CDCS_JSON_DIR", "");
+    const std::string json_dir = overrides.strKnob("jsonDir", "");
     std::unique_ptr<ReportSink> sink;
     if (format == "text") {
         sink = std::make_unique<TextReportSink>(stdout, json_dir);
@@ -436,8 +426,7 @@ studiesCliMain(int argc, char **argv)
         }
     }
     ExperimentRunner runner(ropts);
-    const std::string trace_path =
-        overrides.strKnob("trace", "CDCS_TRACE", "");
+    const std::string trace_path = overrides.strKnob("trace", "");
     if (!trace_path.empty())
         Tracer::open(trace_path);
     int rc = 0;

@@ -60,7 +60,7 @@ struct StudySpec
      */
     std::vector<std::string> lineup;
     /**
-     * Static config tweaks applied after the CDCS_* env defaults and
+     * Static config tweaks applied after the CDCS_* environment and
      * before `--set` overrides (e.g. Table 1's 6x6 mesh).
      */
     std::function<void(SystemConfig &)> configure;
@@ -89,9 +89,8 @@ class StudyContext
     /** Build spec.lineup through the SchemeRegistry. */
     std::vector<SchemeSpec> lineup() const;
 
-    /** Study-specific knob: `--set key=` < `env` < fallback. */
-    std::uint64_t knob(const char *key, const char *env,
-                       std::uint64_t fallback) const;
+    /** Study-specific knob (Overrides::knob). */
+    std::uint64_t knob(const char *key, std::uint64_t fallback) const;
 
     /** The standard reproducibility header. */
     void header() const { header(mixes); }
@@ -126,7 +125,7 @@ struct StudyRegistrar
 };
 
 /**
- * Runner options resolved from overrides/env: workers, result-cache
+ * Runner options resolved from the overrides: workers, result-cache
  * opt-in (`--set cache=1` / CDCS_CACHE) and budget. `default_cache`
  * is the fallback when neither `--set cache` nor CDCS_CACHE is given
  * (true when any study of the batch declares a repeated lineup).
@@ -135,10 +134,10 @@ ExperimentRunner::Options
 runnerOptions(const Overrides &overrides, bool default_cache = false);
 
 /**
- * Run one study: resolve its config (defaults < CDCS_* env <
- * spec.configure < overrides) and mix count, run the body, and emit
- * the cache footer when the result cache is enabled. Returns 0 on
- * success.
+ * Run one study: resolve its config (defaults < the overrides'
+ * environment entries < spec.configure < their `--set` entries) and
+ * mix count, run the body, and emit the cache footer when the result
+ * cache is enabled. Returns 0 on success.
  */
 int runStudy(const StudySpec &spec, const Overrides &overrides,
              ExperimentRunner &runner, ReportSink &sink);

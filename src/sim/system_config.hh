@@ -12,6 +12,7 @@
 #define CDCS_SIM_SYSTEM_CONFIG_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "mesh/mesh.hh"
@@ -218,9 +219,9 @@ struct SystemConfig
     }
 
     // ---- Observability (src/obs/). Stats never affect simulated
-    // results, so these knobs stay out of the runner cache key and
-    // default off (the golden case noc_sensitivity_obs_off pins the
-    // default output).
+    // results, so these knobs stay out of the runner cache key (their
+    // forEachField entries say why) and default off (the golden case
+    // noc_sensitivity_obs_off pins the default output).
 
     /**
      * StatRegistry selection recorded per epoch into the metrics
@@ -237,15 +238,15 @@ struct SystemConfig
         return !statsFilter.empty() && statsFilter != "0";
     }
 
-    std::uint64_t accessesPerThreadEpoch = 50000;
-    int epochs = 6;
-    int warmupEpochs = 2;
+    std::uint64_t accessesPerThreadEpoch = 40000;
+    int epochs = 8;
+    int warmupEpochs = 4;
     std::uint32_t chunkAccesses = 1000;
 
     PartitionedNucaConfig moveCfg;
 
     bool traceIpc = false;
-    Cycles traceBinCycles = 20000;
+    Cycles traceBinCycles = 25000;
 
     std::uint64_t seed = 42;
 
@@ -268,6 +269,130 @@ struct SystemConfig
             banksPerTile * bankLines;
     }
 };
+
+/**
+ * What `--set` and the result-cache key do with one SystemConfig
+ * field (see forEachField). A numeric value must lie in [min, max]
+ * (an open end excludes the bound itself); the default rule accepts
+ * any non-negative value. Each setter returns the changed rule, so
+ * they chain: `FieldRule().above(0).atMost(1024)`.
+ */
+struct FieldRule
+{
+    double min = 0.0;
+    double max = std::numeric_limits<double>::infinity();
+    bool openMin = false;
+    bool openMax = false;
+    /**
+     * Space-separated names a string field accepts; null accepts any
+     * value. Platform builds one model per name (and dies on any
+     * other), so the two lists move together.
+     */
+    const char *choices = nullptr;
+    /** False for a field only code sets (no `--set` key reaches it). */
+    bool settable = true;
+    /** Why the result-cache key may leave the field out; null = keyed. */
+    const char *unkeyedReason = nullptr;
+
+    constexpr FieldRule atLeast(double v) { min = v; return *this; }
+    constexpr FieldRule above(double v) { openMin = true; return atLeast(v); }
+    constexpr FieldRule atMost(double v) { max = v; return *this; }
+    constexpr FieldRule below(double v) { openMax = true; return atMost(v); }
+    constexpr FieldRule oneOf(const char *n) { choices = n; return *this; }
+    constexpr FieldRule notSettable() { settable = false; return *this; }
+    constexpr FieldRule
+    unkeyed(const char *reason)
+    {
+        unkeyedReason = reason;
+        return *this;
+    }
+};
+
+/**
+ * Every SystemConfig field, once: `visit(key, field, rule)` for each,
+ * where `key` is the field's `--set` name. `Config` is SystemConfig or
+ * const SystemConfig. Overrides parses and applies `--set` and CDCS_*
+ * values through this list, and ExperimentRunner::cacheKey keys every
+ * entry without an unkeyed() reason, so a new field is one line here
+ * plus its EXPERIMENTS.md row. tools/lint/cache_key_lint.py checks
+ * that the list binds every member exactly once.
+ */
+template <typename Config, typename Visit>
+void
+forEachField(Config &c, Visit &&visit)
+{
+    using R = FieldRule;
+    visit("meshWidth", c.meshWidth, R().atLeast(1));
+    visit("meshHeight", c.meshHeight, R().atLeast(1));
+    visit("banksPerTile", c.banksPerTile, R().atLeast(1));
+    visit("bankLines", c.bankLines, R().atLeast(1));
+    visit("bankWays", c.bankWays, R().atLeast(1));
+    visit("bankLatency", c.bankLatency, R());
+    visit("memLatency", c.memLatency, R());
+    visit("routerCycles", c.noc.routerCycles, R());
+    visit("linkCycles", c.noc.linkCycles, R());
+    visit("flitBits", c.noc.flitBits, R().notSettable());
+    visit("headerBits", c.noc.headerBits, R().notSettable());
+    visit("modelMemBandwidth", c.modelMemBandwidth, R());
+    // Service rates: the queue model divides by them, and at 1024
+    // lines/cycle no mix queues any more.
+    visit("memLinesPerCycle", c.memLinesPerCycle,
+          R().above(0).atMost(1024));
+    visit("memChannels", c.memChannels, R().atLeast(1));
+    visit("memPlacement", c.memPlacement,
+          R().oneOf("interleave first-touch d2choice contention"));
+    // A fraction of the pages; 1 would leave the near tier empty.
+    visit("farMemRatio", c.farMemRatio, R().below(1));
+    visit("farMemLatency", c.farMemLatency, R());
+    visit("farMemChannels", c.farMemChannels, R().atLeast(1));
+    visit("farMemLinesPerCycle", c.farMemLinesPerCycle,
+          R().above(0).atMost(1024));
+    visit("memTiering", c.memTiering, R().oneOf("static hotness"));
+    visit("noc", c.nocModel, R().oneOf("zero-load contention"));
+    // Scales measured link loads: positive, and at 1024 a link at
+    // 0.1% utilization already sits at the nocMaxUtil clamp.
+    visit("nocInjScale", c.nocInjScale, R().above(0).atMost(1024));
+    // A utilization: the queueing delay diverges at 1.
+    visit("nocMaxUtil", c.nocMaxUtil, R().above(0).below(1));
+    visit("placementCost", c.placementCost, R().oneOf("noc zero-load"));
+    // A Zipf exponent: at 16, rank 2 draws 2^-16 of rank 1's share.
+    visit("skewAlpha", c.skewAlpha, R().atMost(16));
+    // Shares of the accesses and of the hot-set table.
+    visit("skewFraction", c.skewFraction, R().atMost(1));
+    visit("skewLines", c.skewLines, R().atLeast(1));
+    visit("skewHotLines", c.skewHotLines, R().atLeast(1));
+    visit("skewPageHot", c.skewPageHot, R());
+    visit("skewDriftEpochs", c.skewDriftEpochs, R());
+    visit("skewDriftFraction", c.skewDriftFraction,
+          R().above(0).atMost(1));
+    visit("churn", c.churn, R());
+    visit("epochAccesses", c.accessesPerThreadEpoch, R());
+    visit("epochs", c.epochs, R());
+    visit("warmup", c.warmupEpochs, R());
+    visit("chunkAccesses", c.chunkAccesses, R().atLeast(1));
+    visit("traceIpc", c.traceIpc, R());
+    visit("traceBinCycles", c.traceBinCycles, R().atLeast(1));
+    visit("seed", c.seed, R());
+    visit("stats", c.statsFilter,
+          R().unkeyed("reporting-only: picks the counters the metrics "
+                      "trace records; the simulation never reads it"));
+    visit("statsEvery", c.statsEvery,
+          R().atLeast(1).unkeyed("reporting-only: the metrics trace's "
+                                 "recording cadence"));
+    // Lines: the runtime truncates it to a whole line count, and 2^32
+    // lines (256 GB) exceeds any LLC the tag store can hold.
+    visit("allocGranuleLines", c.allocGranuleLines,
+          R().atLeast(1).atMost(4294967296.0));
+    // EWMA weights: outside [0, 1] the blend extrapolates.
+    visit("monitorSmoothing", c.monitorSmoothing, R().atMost(1));
+    // A fraction of the VC's size; at 1 a VC keeps its descriptor
+    // until its allocation changes by its whole size.
+    visit("allocHysteresis", c.moveCfg.allocHysteresis, R().atMost(1));
+    visit("walkDelay", c.moveCfg.walkDelay, R());
+    visit("walkCyclesPerSet", c.moveCfg.walkCyclesPerSet, R());
+    visit("bulkCyclesPerSet", c.moveCfg.bulkCyclesPerSet, R());
+    visit("moves", c.moveCfg.moves, R().notSettable());
+}
 
 } // namespace cdcs
 

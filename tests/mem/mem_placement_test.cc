@@ -181,18 +181,18 @@ TEST(ContentionMemPlacementTest, SteersPagesOffSaturatedController)
 
     // The hot controller kept some pages but lost hot ones; every
     // migrated page must live on a different controller now.
-    const std::vector<std::uint64_t> loads =
-        policy.controllerAccesses();
+    std::vector<std::uint64_t> loads(
+        static_cast<std::size_t>(mesh.numMemCtrls()), 0);
     std::uint64_t off_hot = 0;
     for (std::uint32_t p = 0; p < pages; p++) {
         const int ctrl = policy.controllerFor(
             corner, static_cast<LineAddr>(p) << pageLineShift);
         off_hot += ctrl != hot_ctrl ? 1 : 0;
+        loads.at(static_cast<std::size_t>(ctrl))++;
     }
     EXPECT_GT(off_hot, 0u);
     EXPECT_LT(off_hot, pages); // Not a stampede either.
-    EXPECT_EQ(loads.size(),
-              static_cast<std::size_t>(mesh.numMemCtrls()));
+    EXPECT_EQ(loads[static_cast<std::size_t>(hot_ctrl)], pages - off_hot);
 }
 
 TEST(ContentionMemPlacementTest, RelievesMemRouteWaitAtScale)

@@ -619,11 +619,14 @@ TEST(PageOrderTest, ContentionPlacementIgnoresFirstTouchOrder)
         ContentionMemPlacement policy(mesh,
                                       ContentionMemPlacementParams{});
         ContentionNoc noc(mesh, 4.0, 0.95);
+        std::vector<std::uint64_t> ctrl_accesses(
+            static_cast<std::size_t>(mesh.numMemCtrls()), 0);
         for (int epoch = 0; epoch < 4; epoch++) {
             for (const std::uint64_t page : touchOrder(shuffled)) {
                 for (int n = accessesOf(page, epoch); n > 0; n--) {
                     const int ctrl = policy.controllerFor(
                         core_of(page), page << pageLineShift);
+                    ctrl_accesses.at(static_cast<std::size_t>(ctrl))++;
                     noc.addMemTraffic(TrafficClass::LLCToMem,
                                       core_of(page), ctrl, 40);
                 }
@@ -637,8 +640,8 @@ TEST(PageOrderTest, ContentionPlacementIgnoresFirstTouchOrder)
                 policy.controllerFor(core_of(page),
                                      page << pageLineShift)));
         }
-        for (const std::uint64_t n : policy.controllerAccesses())
-            outcome.push_back(n);
+        outcome.insert(outcome.end(), ctrl_accesses.begin(),
+                       ctrl_accesses.end());
         return outcome;
     };
     const std::vector<std::uint64_t> ascending = run(false);

@@ -1,11 +1,13 @@
 /**
  * @file
  * Doc-sync lint: every `--set` key the Overrides parser recognizes
- * must be documented in EXPERIMENTS.md (as `key` in backticks), so
- * new knobs cannot land without their docs. Built with
- * CDCS_REPO_ROOT pointing at the source tree.
+ * must be documented in EXPERIMENTS.md (as `key` in backticks), and
+ * every CDCS_* alias on the row of its key, so new knobs cannot land
+ * without their docs. Built with CDCS_REPO_ROOT pointing at the
+ * source tree.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -47,6 +49,40 @@ TEST(DocSyncTest, EveryOverrideKeyDocumentedInExperimentsMd)
         EXPECT_NE(doc.find("`" + key + "`"), std::string::npos)
             << "--set key '" << key << "' (" << type
             << ") is missing from EXPERIMENTS.md";
+    }
+}
+
+TEST(DocSyncTest, EveryEnvAliasDocumentedOnItsKeysRow)
+{
+    const std::string doc =
+        readFile(std::string(CDCS_REPO_ROOT) + "/EXPERIMENTS.md");
+    ASSERT_FALSE(doc.empty());
+    const auto keys = Overrides::knownKeys();
+    const auto aliases = Overrides::envAliases();
+    EXPECT_EQ(aliases.size(), 16u);
+    for (const auto &[var, key] : aliases) {
+        EXPECT_EQ(var.rfind("CDCS_", 0), 0u) << var;
+        EXPECT_NE(std::find_if(keys.begin(), keys.end(),
+                               [&key = key](const auto &k) {
+                                   return k.first == key;
+                               }),
+                  keys.end())
+            << var << " names no --set key '" << key << "'";
+        bool found = false;
+        std::size_t start = 0;
+        while (!found && start < doc.size()) {
+            std::size_t end = doc.find('\n', start);
+            if (end == std::string::npos)
+                end = doc.size();
+            const std::string row = doc.substr(start, end - start);
+            found = row.rfind("|", 0) == 0 &&
+                row.find("`" + var + "`") != std::string::npos &&
+                row.find("`" + key + "`") != std::string::npos;
+            start = end + 1;
+        }
+        EXPECT_TRUE(found) << var << " (--set " << key
+                           << ") has no EXPERIMENTS.md table row naming "
+                              "both";
     }
 }
 

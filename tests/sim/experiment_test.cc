@@ -1,10 +1,8 @@
 /**
  * @file
  * Tests for the experiment harness helpers: mix construction,
- * weighted speedup, environment knobs and the parallel sweep driver.
+ * weighted speedup and the parallel sweep runner.
  */
-
-#include <cstdlib>
 
 #include <gtest/gtest.h>
 
@@ -24,31 +22,6 @@ TEST(ExperimentTest, BuildMixKinds)
     const WorkloadMix named =
         buildMix(MixSpec::named({"milc", "gcc"}, 1));
     EXPECT_EQ(named.numProcesses(), 2);
-}
-
-TEST(ExperimentTest, EnvOrReadsEnvironment)
-{
-    unsetenv("CDCS_TEST_KNOB");
-    EXPECT_EQ(envOr("CDCS_TEST_KNOB", 17), 17u);
-    setenv("CDCS_TEST_KNOB", "42", 1);
-    EXPECT_EQ(envOr("CDCS_TEST_KNOB", 17), 42u);
-    setenv("CDCS_TEST_KNOB", "", 1);
-    EXPECT_EQ(envOr("CDCS_TEST_KNOB", 17), 17u);
-    unsetenv("CDCS_TEST_KNOB");
-}
-
-TEST(ExperimentTest, BenchConfigHonorsOverrides)
-{
-    setenv("CDCS_EPOCH_ACCESSES", "1234", 1);
-    setenv("CDCS_EPOCHS", "3", 1);
-    setenv("CDCS_WARMUP", "1", 1);
-    const SystemConfig cfg = benchConfig();
-    EXPECT_EQ(cfg.accessesPerThreadEpoch, 1234u);
-    EXPECT_EQ(cfg.epochs, 3);
-    EXPECT_EQ(cfg.warmupEpochs, 1);
-    unsetenv("CDCS_EPOCH_ACCESSES");
-    unsetenv("CDCS_EPOCHS");
-    unsetenv("CDCS_WARMUP");
 }
 
 TEST(ExperimentTest, WeightedSpeedupIsMeanOfRatios)

@@ -1,14 +1,20 @@
 /**
  * @file
  * Tests for the typed key=value override parser behind
- * `cdcs_studies --set`: good and bad keys, type mismatches,
- * last-one-wins ordering, the cross-key bank-geometry check, and the
- * default < environment < override precedence of the knob resolution,
- * and the model-name lists against the models Platform builds.
+ * `cdcs_studies --set` and the CDCS_* environment: good and bad keys,
+ * type mismatches and bounds, last-one-wins ordering, the cross-key
+ * bank-geometry check, the defaults < environment < configure <
+ * `--set` precedence, and the model-name lists against the models
+ * Platform builds.
  */
 
+#include <cmath>
 #include <cstdlib>
+#include <initializer_list>
+#include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -88,10 +94,91 @@ TEST(OverridesTest, RejectsTypeMismatches)
     EXPECT_TRUE(ov.add("epochs=0", &err)) << err;   // Degenerate OK.
     EXPECT_TRUE(ov.add("warmup=0", &err)) << err;
     EXPECT_TRUE(ov.add("epochAccesses=0", &err)) << err;
+    // Values past the field's C++ type are rejected, not wrapped.
+    EXPECT_FALSE(ov.add("bankWays=4294967312", &err));
+    EXPECT_NE(err.find("expected uint"), std::string::npos) << err;
+    EXPECT_FALSE(ov.add("meshWidth=4294967297", &err));
+    EXPECT_FALSE(ov.add("seed=18446744073709551616", &err));
     // Nothing half-applied: the config stays at defaults.
     SystemConfig cfg;
     ov.apply(cfg);
     EXPECT_EQ(cfg.meshWidth, SystemConfig{}.meshWidth);
+}
+
+TEST(OverridesTest, RejectsNonFiniteAndOutOfRangeDoubles)
+{
+    Overrides ov;
+    std::string err;
+    for (const char *kv :
+         {"monitorSmoothing=+nan", "monitorSmoothing=nan",
+          "skewAlpha=inf", "skewAlpha=+inf", "nocInjScale=-inf",
+          "memLinesPerCycle=infinity", "allocHysteresis=1e999",
+          "skewFraction=+0.5", "skewFraction= 0.5", "skewAlpha=1x"}) {
+        EXPECT_FALSE(ov.add(kv, &err)) << kv;
+        EXPECT_NE(err.find("expected double"), std::string::npos)
+            << err;
+    }
+    // Each bound, inclusive or open, on both sides.
+    for (const char *kv :
+         {"allocGranuleLines=-5", "allocGranuleLines=0.5",
+          "allocGranuleLines=1e10", "memLinesPerCycle=0",
+          "memLinesPerCycle=2048", "farMemLinesPerCycle=-1",
+          "monitorSmoothing=-0.1", "monitorSmoothing=1.5",
+          "allocHysteresis=-1", "allocHysteresis=2", "nocMaxUtil=0",
+          "nocMaxUtil=1", "nocInjScale=0", "nocInjScale=5000",
+          "farMemRatio=1", "farMemRatio=-0.5", "skewAlpha=-1",
+          "skewAlpha=17", "skewFraction=1.5", "skewDriftFraction=0"}) {
+        EXPECT_FALSE(ov.add(kv, &err)) << kv;
+        EXPECT_EQ(err.find("expected"), std::string::npos) << err;
+    }
+    EXPECT_FALSE(ov.add("allocGranuleLines=-5", &err));
+    EXPECT_NE(err.find("(minimum 1)"), std::string::npos) << err;
+    EXPECT_FALSE(ov.add("nocMaxUtil=1", &err));
+    EXPECT_NE(err.find("(must be below 1)"), std::string::npos) << err;
+    EXPECT_FALSE(ov.add("nocInjScale=0", &err));
+    EXPECT_NE(err.find("(must be above 0)"), std::string::npos) << err;
+    EXPECT_FALSE(ov.add("monitorSmoothing=1.5", &err));
+    EXPECT_NE(err.find("(maximum 1)"), std::string::npos) << err;
+    for (const char *kv :
+         {"allocGranuleLines=1", "allocGranuleLines=4294967296",
+          "memLinesPerCycle=1024", "monitorSmoothing=0",
+          "monitorSmoothing=1", "allocHysteresis=0", "nocMaxUtil=0.99",
+          "skewAlpha=16", "skewDriftFraction=1", "farMemRatio=0",
+          "skewFraction=.5", "nocInjScale=1e2"}) {
+        EXPECT_TRUE(ov.add(kv, &err)) << err;
+    }
+}
+
+TEST(OverridesTest, EveryDoubleFieldHasFiniteBounds)
+{
+    const SystemConfig cfg;
+    int doubles = 0;
+    forEachField(cfg, [&doubles](const char *name, const auto &field,
+                                 const FieldRule &rule) {
+        using T = std::remove_cv_t<
+            std::remove_reference_t<decltype(field)>>;
+        if constexpr (std::is_floating_point_v<T>) {
+            doubles++;
+            EXPECT_TRUE(std::isfinite(rule.min)) << name;
+            EXPECT_TRUE(std::isfinite(rule.max)) << name;
+            EXPECT_LE(rule.min, field) << name;
+            EXPECT_GE(rule.max, field) << name;
+        }
+    });
+    EXPECT_EQ(doubles, 11);
+}
+
+TEST(OverridesTest, WorkersHaveAnUpperBound)
+{
+    // Parsing only: these values never reach a pool.
+    Overrides ov;
+    std::string err;
+    EXPECT_TRUE(ov.add("workers=1024", &err)) << err;
+    EXPECT_FALSE(ov.add("workers=1025", &err));
+    EXPECT_NE(err.find("(maximum 1024)"), std::string::npos) << err;
+    EXPECT_FALSE(ov.add("workers=4294967295", &err));
+    EXPECT_FALSE(ov.add("workers=-1", &err));
+    EXPECT_EQ(ov.knob("workers", 0), 1024u);
 }
 
 TEST(OverridesTest, ValidatesBankGeometry)
@@ -122,9 +209,6 @@ TEST(OverridesTest, ValidatesBankGeometry)
               std::string::npos);
     EXPECT_NE(check({"bankWays=512", "bankLines=65536"}).find("8-bit"),
               std::string::npos);
-    // A value that would wrap in the 32-bit field is caught before.
-    EXPECT_NE(check({"bankWays=4294967312"}).find("8-bit"),
-              std::string::npos);
     EXPECT_NE(check({"bankLines=8192", "bankLines=8000"})
                   .find("bankLines=8000"),
               std::string::npos);
@@ -141,34 +225,124 @@ TEST(OverridesTest, LastValueWins)
     EXPECT_EQ(cfg.meshWidth, 12);
 }
 
+/** Sets environment variables for one scope, then restores them. */
+class ScopedEnv
+{
+  public:
+    explicit ScopedEnv(
+        std::initializer_list<std::pair<const char *, const char *>> vars)
+    {
+        for (const auto &[name, value] : vars) {
+            const char *old = std::getenv(name);
+            saved.emplace_back(name, old != nullptr
+                                         ? std::optional<std::string>(old)
+                                         : std::nullopt);
+            ::setenv(name, value, 1);
+        }
+    }
+
+    ~ScopedEnv()
+    {
+        for (const auto &[name, old] : saved) {
+            if (old)
+                ::setenv(name, old->c_str(), 1);
+            else
+                ::unsetenv(name);
+        }
+    }
+
+  private:
+    std::vector<std::pair<const char *, std::optional<std::string>>>
+        saved;
+};
+
 TEST(OverridesTest, KnobPrecedenceOverEnv)
 {
-    // Default < environment < --set.
+    // Default < environment < --set, whatever order they arrive in.
     Overrides ov;
-    EXPECT_EQ(ov.knob("mixes", "CDCS_TEST_KNOB", 4), 4u);
-
-    ::setenv("CDCS_TEST_KNOB", "7", 1);
-    EXPECT_EQ(ov.knob("mixes", "CDCS_TEST_KNOB", 4), 7u);
-
+    EXPECT_EQ(ov.knob("mixes", 4), 4u);
     std::string err;
     ASSERT_TRUE(ov.add("mixes=9", &err));
-    EXPECT_EQ(ov.knob("mixes", "CDCS_TEST_KNOB", 4), 9u);
-    ::unsetenv("CDCS_TEST_KNOB");
-    EXPECT_EQ(ov.knob("mixes", "CDCS_TEST_KNOB", 4), 9u);
+    {
+        const ScopedEnv env({{"CDCS_MIXES", "7"}, {"CDCS_APPS", "12"}});
+        ASSERT_TRUE(ov.addEnvironment(&err)) << err;
+    }
+    EXPECT_EQ(ov.knob("mixes", 4), 9u);
+    EXPECT_EQ(ov.knob("apps", 48), 12u);
+    EXPECT_FALSE(ov.empty());
+
+    Overrides env_only;
+    {
+        const ScopedEnv env({{"CDCS_MIXES", "7"}});
+        ASSERT_TRUE(env_only.addEnvironment(&err)) << err;
+    }
+    EXPECT_EQ(env_only.knob("mixes", 4), 7u);
+    // Environment entries are not `--set` entries (`list` takes none).
+    EXPECT_TRUE(env_only.empty());
 }
 
 TEST(OverridesTest, StringKnobPrecedence)
 {
     Overrides ov;
-    EXPECT_EQ(ov.strKnob("jsonDir", "CDCS_TEST_DIR", "dflt"), "dflt");
-    ::setenv("CDCS_TEST_DIR", "/from/env", 1);
-    EXPECT_EQ(ov.strKnob("jsonDir", "CDCS_TEST_DIR", "dflt"),
-              "/from/env");
     std::string err;
+    EXPECT_EQ(ov.strKnob("jsonDir", "dflt"), "dflt");
+    {
+        const ScopedEnv env({{"CDCS_JSON_DIR", "/from/env"},
+                             {"CDCS_TRACE", ""}});
+        ASSERT_TRUE(ov.addEnvironment(&err)) << err;
+    }
+    EXPECT_EQ(ov.strKnob("jsonDir", "dflt"), "/from/env");
+    // An empty variable counts as unset.
+    EXPECT_EQ(ov.strKnob("trace", "dflt"), "dflt");
     ASSERT_TRUE(ov.add("jsonDir=/from/set", &err));
-    EXPECT_EQ(ov.strKnob("jsonDir", "CDCS_TEST_DIR", "dflt"),
-              "/from/set");
-    ::unsetenv("CDCS_TEST_DIR");
+    EXPECT_EQ(ov.strKnob("jsonDir", "dflt"), "/from/set");
+}
+
+TEST(OverridesTest, EnvironmentRanksBelowConfigureAndSet)
+{
+    // Defaults < environment < a study's configure < --set.
+    Overrides ov;
+    std::string err;
+    ASSERT_TRUE(ov.add("epochAccesses=999", &err)) << err;
+    {
+        const ScopedEnv env({{"CDCS_EPOCH_ACCESSES", "777"},
+                             {"CDCS_EPOCHS", "5"},
+                             {"CDCS_WARMUP", "2"},
+                             {"CDCS_TRACE_BIN", "30000"}});
+        ASSERT_TRUE(ov.addEnvironment(&err)) << err;
+    }
+    SystemConfig cfg;
+    ov.apply(cfg, [](SystemConfig &c) { c.epochs = 12; });
+    EXPECT_EQ(cfg.accessesPerThreadEpoch, 999u); // --set wins.
+    EXPECT_EQ(cfg.epochs, 12);                   // configure wins.
+    EXPECT_EQ(cfg.warmupEpochs, 2);              // env beats default.
+    EXPECT_EQ(cfg.traceBinCycles, 30000u);
+    EXPECT_EQ(cfg.meshWidth, SystemConfig{}.meshWidth);
+}
+
+TEST(OverridesTest, EnvironmentValuesAreCheckedLikeSet)
+{
+    // Parsing only: a bad CDCS_WORKERS never reaches a pool.
+    const auto env_error = [](const char *var, const char *value) {
+        const ScopedEnv env({{var, value}});
+        Overrides ov;
+        std::string err;
+        EXPECT_FALSE(ov.addEnvironment(&err)) << var << "=" << value;
+        EXPECT_EQ(err.rfind(std::string(var) + ": bad value", 0), 0u)
+            << err;
+        return err;
+    };
+    EXPECT_NE(env_error("CDCS_EPOCHS", "-1").find("(minimum 0)"),
+              std::string::npos);
+    EXPECT_NE(env_error("CDCS_MIXES", "abc").find("(expected uint)"),
+              std::string::npos);
+    EXPECT_NE(env_error("CDCS_WORKERS", "-1").find("(expected uint)"),
+              std::string::npos);
+    EXPECT_NE(env_error("CDCS_WORKERS", "5000").find("(maximum 1024)"),
+              std::string::npos);
+    env_error("CDCS_EPOCH_ACCESSES", " 5");
+    env_error("CDCS_CACHE", "maybe");
+    env_error("CDCS_TRACE_BIN", "0");
 }
 
 TEST(OverridesTest, BoolKnobAcceptsWordForms)
@@ -176,7 +350,7 @@ TEST(OverridesTest, BoolKnobAcceptsWordForms)
     Overrides ov;
     std::string err;
     ASSERT_TRUE(ov.add("cache=true", &err)) << err;
-    EXPECT_EQ(ov.knob("cache", nullptr, 0), 1u);
+    EXPECT_EQ(ov.knob("cache", 0), 1u);
 }
 
 TEST(OverridesTest, ModelNameListsMatchPlatform)

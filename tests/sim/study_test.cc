@@ -8,7 +8,10 @@
  * pure function of the config.
  */
 
+#include <cstdlib>
 #include <map>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -20,15 +23,14 @@ namespace cdcs
 namespace
 {
 
-/** Small, env-independent knobs shared by the output tests. */
+/** Small knobs shared by the output tests. */
 Overrides
 tinyOverrides()
 {
     Overrides ov;
     std::string err;
-    // Keep the 8x8 mesh (64-app mixes need the cores) but shrink
-    // the work; pin every env-controlled knob so the test is
-    // hermetic under any CDCS_* environment.
+    // Keep the 8x8 mesh (64-app mixes need the cores) but shrink the
+    // work. No addEnvironment(): runStudy sees no CDCS_* variable.
     for (const char *kv :
          {"epochAccesses=600", "epochs=2", "warmup=1", "mixes=1",
           "chunkAccesses=1000", "seed=42"}) {
@@ -170,6 +172,79 @@ TEST(StudyTest, ConfigureHookAppliesBeforeOverrides)
     StringReportSink sink;
     ASSERT_EQ(runStudy(*spec, ov, runner, sink), 0);
     EXPECT_NE(sink.str().find("mesh 7x7"), std::string::npos);
+}
+
+TEST(StudyTest, EnvironmentLosesToConfigureAndSet)
+{
+    // Defaults < CDCS_* environment < spec.configure < --set, on a
+    // probe study that records its resolved config and runs nothing.
+    SystemConfig seen;
+    int seen_mixes = 0;
+    StudySpec spec;
+    spec.name = "precedence_probe";
+    spec.defaultMixes = 4;
+    spec.configure = [](SystemConfig &cfg) {
+        cfg.epochs = 12;
+        cfg.warmupEpochs = 3;
+    };
+    spec.run = [&](StudyContext &ctx) {
+        seen = ctx.cfg;
+        seen_mixes = ctx.mixes;
+    };
+    Overrides ov;
+    std::string err;
+    ASSERT_TRUE(ov.add("warmup=1", &err)) << err;
+    const char *const vars[][2] = {{"CDCS_EPOCHS", "5"},
+                                   {"CDCS_WARMUP", "2"},
+                                   {"CDCS_EPOCH_ACCESSES", "777"},
+                                   {"CDCS_MIXES", "3"}};
+    for (const auto &var : vars)
+        ::setenv(var[0], var[1], 1);
+    const bool read = ov.addEnvironment(&err);
+    for (const auto &var : vars)
+        ::unsetenv(var[0]);
+    ASSERT_TRUE(read) << err;
+
+    ExperimentRunner::Options opts;
+    opts.workers = 1;
+    ExperimentRunner runner(opts);
+    StringReportSink sink;
+    ASSERT_EQ(runStudy(spec, ov, runner, sink), 0);
+    EXPECT_EQ(seen.epochs, 12);                   // configure > env.
+    EXPECT_EQ(seen.warmupEpochs, 1);              // --set > configure.
+    EXPECT_EQ(seen.accessesPerThreadEpoch, 777u); // env > default.
+    EXPECT_EQ(seen_mixes, 3);                     // env > defaultMixes.
+}
+
+TEST(StudyCliTest, BadEnvironmentValuesExitTwo)
+{
+    // The CLI reads CDCS_* through the --set checks and exits 2
+    // before running anything; `--set workers=1` outranks
+    // CDCS_WORKERS, so no pool is ever sized from these values.
+    const auto run_cli = [](std::vector<std::string> args) {
+        std::vector<char *> argv;
+        for (std::string &arg : args)
+            argv.push_back(arg.data());
+        return studiesCliMain(static_cast<int>(argv.size()),
+                              argv.data());
+    };
+    const char *const bad[][2] = {{"CDCS_EPOCHS", "-1"},
+                                  {"CDCS_MIXES", "abc"},
+                                  {"CDCS_WORKERS", "-1"},
+                                  {"CDCS_WORKERS", "5000"}};
+    for (const auto &var : bad) {
+        ::setenv(var[0], var[1], 1);
+        EXPECT_EQ(run_cli({"cdcs_studies", "run", "fig14", "--set",
+                           "workers=1"}),
+                  2)
+            << var[0] << "=" << var[1];
+        ::unsetenv(var[0]);
+    }
+    // `list` rejects --set entries but ignores the environment.
+    EXPECT_EQ(run_cli({"cdcs_studies", "list", "--set", "epochs=1"}), 2);
+    ::setenv("CDCS_EPOCHS", "-1", 1);
+    EXPECT_EQ(run_cli({"cdcs_studies", "list"}), 0);
+    ::unsetenv("CDCS_EPOCHS");
 }
 
 TEST(StudyTest, JsonSinkProducesOneDocument)

@@ -1,31 +1,23 @@
 #!/usr/bin/env python3
 """Cache-key completeness lint.
 
-ExperimentRunner caches RunResults (in memory and, sharded, in the
-persistent ResultStore) under the string ExperimentRunner::cacheKey
-builds from (SystemConfig, SchemeSpec, MixSpec). A behavior knob that
-is missing from that key silently serves stale results: two configs
-that simulate differently collapse onto one cache cell. This lint
-makes that class of bug a test failure by cross-referencing three
-sources of truth:
+ExperimentRunner caches RunResults (in memory and in the persistent
+ResultStore) under ExperimentRunner::cacheKey, whose SystemConfig part
+is every keyed entry of the one field list, forEachField in
+src/sim/system_config.hh. A behavior field missing from that list
+would silently serve stale results: two configs that simulate
+differently would collapse onto one cache cell. The lint checks:
 
-  1. every data member of SystemConfig (src/sim/system_config.hh),
-     with members of nested config structs (NocConfig,
-     PartitionedNucaConfig, ...) expanded to dotted paths;
-  2. every entry of configKeys[] in src/sim/overrides.cc, via the
-     `c.<path> = ...` assignment in its setter, and every knobKeys[]
-     entry by name;
-  3. the body of ExperimentRunner::cacheKey
-     (src/sim/experiment_runner.cc): `cfg.<path>` field references
-     and `cfg.<method>()` calls.
-
-Every field/override target must be referenced by cacheKey or carry
-an entry in tools/lint/cache_key_allowlist.txt; every study knob must
-be allowlisted (knobs never reach SystemConfig, so each one needs a
-written reason why exclusion is sound). Allowlist entries are checked
-both ways: an entry whose field is gone, whose field is in fact keyed,
-or whose `via` method is not called (or does not read the field) is
-itself an error, so the allowlist cannot go stale.
+  1. every data member of SystemConfig, with the members of nested
+     config structs (NocConfig, PartitionedNucaConfig) expanded to
+     dotted paths, is bound by exactly one `visit("key", c.<path>, ...)`
+     entry of the list;
+  2. no entry binds a path that is not such a member;
+  3. every entry with an `unkeyed("...")` rule and every study knob of
+     the `knobs[]` table in src/sim/overrides.cc carries a one-line
+     reason why the cache key may leave it out;
+  4. cacheKey (src/sim/experiment_runner.cc) builds its SystemConfig
+     part through forEachField and names no `cfg.` member itself.
 
 Stdlib-only; runs as a ctest case (see CMakeLists.txt) and in CI.
 Exit status: 0 clean, 1 findings, 2 usage/parse error.
@@ -39,323 +31,141 @@ import sys
 SYSTEM_CONFIG = os.path.join("src", "sim", "system_config.hh")
 OVERRIDES = os.path.join("src", "sim", "overrides.cc")
 RUNNER = os.path.join("src", "sim", "experiment_runner.cc")
-ALLOWLIST = os.path.join("tools", "lint", "cache_key_allowlist.txt")
-
-BUILTIN_TYPES = {
-    "bool", "int", "double", "float", "char", "Cycles",
-    "string", "uint8_t", "uint32_t", "uint64_t", "int32_t", "int64_t",
-    "size_t",
-}
 
 MEMBER_RE = re.compile(
     r"^\s*(?:const\s+)?([A-Za-z_][\w:<>,\s]*?)\s+"
-    r"([A-Za-z_]\w*)\s*(?:=[^;]*)?;\s*(?:///<.*)?$")
+    r"([A-Za-z_]\w*)\s*(?:=[^;]*)?;\s*$")
+ENTRY_RE = re.compile(
+    r'\bvisit\(\s*"([^"]*)"\s*,\s*c\.([\w.]+)\s*,(.*?)\);\s*$',
+    re.S | re.M)
+KNOB_RE = re.compile(
+    r'\{\s*"(\w+)"\s*,\s*"\w+"\s*,(.*?)\}\s*(?:,|\Z)', re.S)
+UNKEYED_RE = re.compile(r'\.unkeyed\(\s*((?:"(?:[^"\\]|\\.)*"\s*)*)\)')
+
+
+class ParseError(Exception):
+    pass
 
 
 def read(repo, rel):
-    path = os.path.join(repo, rel)
-    with open(path, encoding="utf-8") as f:
-        return f.read()
+    with open(os.path.join(repo, rel), encoding="utf-8") as f:
+        return re.sub(r"//[^\n]*", "",
+                      re.sub(r"/\*.*?\*/", " ", f.read(), flags=re.S))
 
 
-def strip_comments(text):
-    text = re.sub(r"/\*.*?\*/", " ", text, flags=re.S)
-    return re.sub(r"//[^\n]*", "", text)
-
-
-def struct_body(text, name):
-    """Extract the brace-balanced body of `struct <name> { ... };`."""
-    m = re.search(r"\bstruct\s+%s\b[^{;]*\{" % re.escape(name), text)
+def braced(text, opening):
+    """The brace-balanced body after the first match of `opening`."""
+    m = re.search(opening + r"[^{;]*\{", text)
     if m is None:
         return None
     depth, i = 1, m.end()
-    start = m.end()
     while i < len(text) and depth > 0:
-        if text[i] == "{":
-            depth += 1
-        elif text[i] == "}":
-            depth -= 1
+        depth += {"{": 1, "}": -1}.get(text[i], 0)
         i += 1
-    return text[start:i - 1]
+    return text[m.end():i - 1]
 
 
-def struct_fields(body):
-    """(type, name) for each depth-1 data member of a struct body."""
-    fields = []
-    depth = 0
+def members(body):
+    """(type, name) of each depth-0 data member of a struct body."""
+    out, depth = [], 0
     for line in body.splitlines():
-        if depth == 0 and "(" not in line:
-            m = MEMBER_RE.match(line)
-            if m:
-                type_text = m.group(1).strip()
-                if type_text not in ("return", "using", "typedef"):
-                    fields.append((type_text, m.group(2)))
-        depth += line.count("{") - line.count("}")
-        depth = max(depth, 0)
-    return fields
+        m = MEMBER_RE.match(line)
+        if depth == 0 and "(" not in line and m and \
+                m.group(1).strip() not in ("return", "using", "typedef"):
+            out.append((m.group(1).strip(), m.group(2)))
+        depth = max(depth + line.count("{") - line.count("}"), 0)
+    return out
 
 
-def all_headers(repo):
-    out = []
-    for root, _dirs, names in os.walk(os.path.join(repo, "src")):
-        for name in sorted(names):
-            if name.endswith(".hh"):
-                out.append(os.path.join(root, name))
-    return sorted(out)
-
-
-def expand_nested(repo, headers_text, type_text, name, errors):
-    """Expand `name` to dotted paths if its type is a known struct."""
-    bare = type_text.split("<")[0].split("::")[-1].strip()
-    if bare in BUILTIN_TYPES or not bare[0].isupper():
-        return [name]
-    for text in headers_text:
-        body = struct_body(text, bare)
-        if body is not None:
-            fields = struct_fields(body)
-            if not fields:
-                errors.append(
-                    f"nested struct {bare} for field '{name}' has no "
-                    "parseable members")
-                return [name]
-            return [f"{name}.{sub}" for _t, sub in fields]
-    # Enums and opaque types key as a whole (e.g. MoveScheme).
-    return [name]
-
-
-def parse_system_config(repo, errors):
-    text = strip_comments(read(repo, SYSTEM_CONFIG))
-    body = struct_body(text, "SystemConfig")
+def config_members(repo):
+    """Dotted paths of every SystemConfig member, nested expanded."""
+    body = braced(read(repo, SYSTEM_CONFIG),
+                  r"\bstruct\s+SystemConfig\b")
     if body is None:
-        errors.append(f"struct SystemConfig not found in {SYSTEM_CONFIG}")
-        return [], text
-    headers_text = [strip_comments(open(h, encoding="utf-8").read())
-                    for h in all_headers(repo)]
+        raise ParseError(f"no struct SystemConfig in {SYSTEM_CONFIG}")
+    headers = []
+    for root, _dirs, names in os.walk(os.path.join(repo, "src")):
+        headers += [os.path.relpath(os.path.join(root, n), repo)
+                    for n in sorted(names) if n.endswith(".hh")]
+    texts = [read(repo, h) for h in sorted(headers)]
     paths = []
-    for type_text, name in struct_fields(body):
-        paths.extend(
-            expand_nested(repo, headers_text, type_text, name, errors))
+    for type_text, name in members(body):
+        bare = type_text.split("<")[0].split("::")[-1].strip()
+        nested = [braced(t, r"\bstruct\s+%s\b" % re.escape(bare))
+                  for t in texts]
+        nested = [b for b in nested if b is not None]
+        if nested and members(nested[0]):
+            paths += [f"{name}.{sub}" for _t, sub in members(nested[0])]
+        else:
+            paths.append(name)  # Scalars, strings and enums.
     if not paths:
-        errors.append("no SystemConfig members parsed")
-    return paths, text
+        raise ParseError("no SystemConfig members parsed")
+    return paths
 
 
-def bracketed_table(text, name):
-    m = re.search(
-        r"\b%s\s*\[\s*\]\s*=\s*\{" % re.escape(name), text)
+def reason_of(rule):
+    """The unkeyed() reason of a rule: None when absent, else text."""
+    m = UNKEYED_RE.search(rule)
     if m is None:
         return None
-    depth, i = 1, m.end()
-    start = m.end()
-    while i < len(text) and depth > 0:
-        if text[i] == "{":
-            depth += 1
-        elif text[i] == "}":
-            depth -= 1
-        i += 1
-    return text[start:i - 1]
+    return "".join(re.findall(r'"((?:[^"\\]|\\.)*)"', m.group(1)))
 
 
-def parse_overrides(repo, errors):
-    text = strip_comments(read(repo, OVERRIDES))
-    config_keys = {}
-    table = bracketed_table(text, "configKeys")
-    if table is None:
-        errors.append(f"configKeys[] not found in {OVERRIDES}")
-    else:
-        # Split entries on the {"name", "type", ...} openings so each
-        # setter's `c.<path> =` assignments attach to its key.
-        entries = re.split(r"\{\s*\"(\w+)\"\s*,\s*\"\w+\"", table)
-        for i in range(1, len(entries), 2):
-            name, body = entries[i], entries[i + 1]
-            targets = set(re.findall(r"\bc\.([\w.]+)\s*=", body))
-            if not targets:
-                errors.append(
-                    f"configKeys entry '{name}' has no c.<field> "
-                    "assignment (setter not parseable)")
-            config_keys[name] = targets
-        if not config_keys:
-            errors.append("no configKeys entries parsed")
-    knob_table = bracketed_table(text, "knobKeys")
-    knob_keys = []
-    if knob_table is None:
-        errors.append(f"knobKeys[] not found in {OVERRIDES}")
-    else:
-        knob_keys = re.findall(r"\{\s*\"(\w+)\"", knob_table)
-        if not knob_keys:
-            errors.append("no knobKeys entries parsed")
-    return config_keys, knob_keys
-
-
-def parse_cache_key(repo, errors):
-    text = strip_comments(read(repo, RUNNER))
-    m = re.search(r"ExperimentRunner::cacheKey\s*\(", text)
-    if m is None:
-        errors.append(f"ExperimentRunner::cacheKey not found in {RUNNER}")
-        return set(), set()
-    tail = text[m.end():]
-    body_start = tail.index("{")
-    depth, i = 1, body_start + 1
-    while i < len(tail) and depth > 0:
-        if tail[i] == "{":
-            depth += 1
-        elif tail[i] == "}":
-            depth -= 1
-        i += 1
-    body = tail[body_start:i]
-    refs, methods = set(), set()
-    for ref in re.finditer(r"\bcfg\.((?:\w+\.)*\w+)(\s*\()?", body):
-        path, is_call = ref.group(1), ref.group(2)
-        if is_call:
-            parts = path.rsplit(".", 1)
-            if len(parts) == 1:
-                methods.add(parts[0])
-            else:
-                refs.add(parts[0])  # cfg.field.c_str() and the like
-        else:
-            refs.add(path)
-    if not refs:
-        errors.append("no cfg.<field> references parsed from cacheKey")
-    return refs, methods
-
-
-def parse_allowlist(repo, errors):
-    """Returns (excluded: {entry: reason}, via: {field: method})."""
-    path = os.path.join(repo, ALLOWLIST)
-    excluded, via = {}, {}
-    if not os.path.exists(path):
-        errors.append(f"allowlist missing: {ALLOWLIST}")
-        return excluded, via
-    with open(path, encoding="utf-8") as f:
-        for num, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            m = re.match(r"^([\w.:]+)\s+via\s+(\w+)\(\)\s*--\s*(\S.*)$",
-                         line)
-            if m:
-                via[m.group(1)] = m.group(2)
-                continue
-            m = re.match(r"^([\w.:]+)\s*--\s*(\S.*)$", line)
-            if m:
-                excluded[m.group(1)] = m.group(2)
-                continue
-            errors.append(
-                f"{ALLOWLIST}:{num}: unparseable entry '{line}' "
-                "(want '<entry> -- <reason>' or "
-                "'<field> via <method>() -- <reason>')")
-    return excluded, via
-
-
-def covered(path, refs):
-    """A field is keyed if it or any of its sub-paths is referenced."""
-    if path in refs:
-        return True
-    prefix = path + "."
-    return any(r.startswith(prefix) for r in refs)
+def bad_reason(reason):
+    return not reason.strip() or "\\n" in reason
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--repo", required=True,
-                        help="repository root")
+    parser.add_argument("--repo", required=True, help="repository root")
     args = parser.parse_args()
-
-    errors = []
     try:
-        fields, config_text = parse_system_config(args.repo, errors)
-        config_keys, knob_keys = parse_overrides(args.repo, errors)
-        refs, methods = parse_cache_key(args.repo, errors)
-        excluded, via = parse_allowlist(args.repo, errors)
-    except OSError as err:
-        errors.append(str(err))
-    if errors:
-        for e in errors:
-            print(f"cache_key_lint: parse error: {e}", file=sys.stderr)
+        paths = config_members(args.repo)
+        body = braced(read(args.repo, SYSTEM_CONFIG), r"\bforEachField\(")
+        entries = ENTRY_RE.findall(body or "")
+        knob_table = braced(read(args.repo, OVERRIDES),
+                            r"\bknobs\s*\[\s*\]\s*=")
+        knobs = KNOB_RE.findall(knob_table or "")
+        key_body = braced(read(args.repo, RUNNER),
+                          r"ExperimentRunner::cacheKey\s*\(")
+        if not entries:
+            raise ParseError(f"no forEachField entries in {SYSTEM_CONFIG}")
+        if not knobs:
+            raise ParseError(f"no knobs[] entries in {OVERRIDES}")
+        if key_body is None:
+            raise ParseError(f"ExperimentRunner::cacheKey not in {RUNNER}")
+    except (OSError, ParseError) as err:
+        print(f"cache_key_lint: parse error: {err}", file=sys.stderr)
         return 2
 
     findings = []
-
-    def field_ok(path):
-        if covered(path, refs):
-            return True
-        if path in excluded:
-            return True
-        if path in via:
-            return True
-        # noc.* covered when the whole sub-struct is allowlisted.
-        head = path.split(".")[0]
-        return head in excluded or head in via
-
-    # 1. Every SystemConfig field is keyed, keyed-via, or allowlisted.
-    for path in fields:
-        if not field_ok(path):
+    bound = [path for _key, path, _rule in entries]
+    for path in paths:  # Rule 1.
+        if bound.count(path) != 1:
             findings.append(
-                f"SystemConfig field '{path}' is not in "
-                "ExperimentRunner::cacheKey and not allowlisted")
-
-    # 2. Every config override's target field likewise.
-    known_paths = set(fields)
-    for name, targets in sorted(config_keys.items()):
-        for target in sorted(targets):
-            if not field_ok(target):
-                findings.append(
-                    f"override key '{name}' sets cfg.{target}, which "
-                    "is not in cacheKey and not allowlisted")
-            if target not in known_paths and \
-                    target.split(".")[0] not in known_paths:
-                findings.append(
-                    f"override key '{name}' sets cfg.{target}, which "
-                    "is not a parsed SystemConfig field (parser gap "
-                    "or dead setter)")
-
-    # 3. Every study knob has a written exclusion rationale.
-    for name in knob_keys:
-        if f"knob:{name}" not in excluded:
+                f"SystemConfig member '{path}' is bound by "
+                f"{bound.count(path)} forEachField entries (want 1)")
+    for key, path, _rule in entries:  # Rule 2.
+        if path not in paths:
             findings.append(
-                f"study knob '{name}' has no knob:{name} entry in "
-                f"{ALLOWLIST} (every knob needs a written reason why "
-                "it is sound to exclude from the cache key)")
-
-    # 4. The allowlist cannot go stale.
-    knob_names = set(knob_keys)
-    for entry, _reason in sorted(excluded.items()):
-        if entry.startswith("knob:"):
-            if entry[len("knob:"):] not in knob_names:
-                findings.append(
-                    f"stale allowlist entry '{entry}': no such knob "
-                    "in knobKeys[]")
-            continue
-        if entry not in known_paths:
+                f"entry '{key}' binds c.{path}, which is not a "
+                "SystemConfig member")
+    for key, _path, rule in entries:  # Rule 3, list entries.
+        reason = reason_of(rule)
+        if reason is not None and bad_reason(reason):
             findings.append(
-                f"stale allowlist entry '{entry}': no such "
-                "SystemConfig field")
-        elif covered(entry, refs):
+                f"unkeyed entry '{key}' needs a one-line reason")
+    for name, rule in knobs:  # Rule 3, study knobs.
+        reason = reason_of(rule)
+        if reason is None or bad_reason(reason):
             findings.append(
-                f"stale allowlist entry '{entry}': the field IS "
-                "referenced by cacheKey")
-
-    # 5. `via` methods are really called and really read the field.
-    for entry, method in sorted(via.items()):
-        if entry not in known_paths:
-            findings.append(
-                f"stale via entry '{entry}': no such SystemConfig "
-                "field")
-            continue
-        if method not in methods:
-            findings.append(
-                f"via entry '{entry}': cacheKey never calls "
-                f"cfg.{method}()")
-            continue
-        impl = re.search(
-            r"\b%s\s*\(\s*\)\s*const\s*\{(.*?)\n    \}" %
-            re.escape(method), config_text, re.S)
-        if impl is None or \
-                not re.search(r"\b%s\b" % re.escape(entry.split('.')[0]),
-                              impl.group(1)):
-            findings.append(
-                f"via entry '{entry}': {method}() does not read the "
-                "field (alias mapping is stale)")
+                f"study knob '{name}' needs a one-line unkeyed() reason")
+    if not re.search(r"\bforEachField\(\s*cfg\b", key_body):  # Rule 4.
+        findings.append("cacheKey does not key SystemConfig through "
+                        "forEachField(cfg, ...)")
+    for ref in sorted(set(re.findall(r"\bcfg\.(\w+)", key_body))):
+        findings.append(f"cacheKey names cfg.{ref}; key SystemConfig "
+                        "fields only through forEachField")
 
     for f in findings:
         print(f"cache_key_lint: {f}")
@@ -363,9 +173,8 @@ def main():
         print(f"cache_key_lint: {len(findings)} finding(s)",
               file=sys.stderr)
         return 1
-    print(f"cache_key_lint: {len(fields)} fields, "
-          f"{len(config_keys)} override keys, {len(knob_keys)} knobs "
-          "all accounted for")
+    print(f"cache_key_lint: {len(paths)} members, {len(entries)} list "
+          f"entries, {len(knobs)} knobs all accounted for")
     return 0
 
 

@@ -1,18 +1,15 @@
-// Fixture: cacheKey covering meshWidth and seed only.
-#include "sim/experiment_runner.hh"
-
-namespace cdcs
-{
-
+// Fixture: cacheKey names a SystemConfig field itself.
 std::string
 ExperimentRunner::cacheKey(const SystemConfig &cfg,
-                           const SchemeSpec &scheme,
-                           const MixSpec &mix)
+                           const SchemeSpec &scheme)
 {
     std::string key;
-    appendF(key, "cfg:%d,%llu|", cfg.meshWidth,
-            static_cast<unsigned long long>(cfg.seed));
+    forEachField(cfg, [&key](const char *name, const auto &,
+                             const FieldRule &rule) {
+        if (rule.unkeyedReason == nullptr)
+            key += name;
+    });
+    key += std::to_string(cfg.meshWidth);
+    appendF(key, "spec:%d", static_cast<int>(scheme.kind));
     return key;
 }
-
-} // namespace cdcs

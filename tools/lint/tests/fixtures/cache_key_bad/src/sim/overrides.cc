@@ -1,27 +1,6 @@
-// Fixture: override tables including a key for the unkeyed fooKnob
-// and a study knob (mystery) with no allowlist rationale.
-#include "sim/overrides.hh"
-
-namespace cdcs
-{
-namespace
-{
-
-const KeyDef configKeys[] = {
-    {"meshWidth", "int",
-     [](SystemConfig &c, const Override &v) {
-         c.meshWidth = static_cast<int>(v.i);
-     }},
-    {"fooKnob", "double",
-     [](SystemConfig &c, const Override &v) { c.fooKnob = v.d; }},
-    {"seed", "uint",
-     [](SystemConfig &c, const Override &v) { c.seed = v.u; }},
+// Fixture: a study knob without a reason.
+const Knob knobs[] = {
+    {"mixes", "uint",
+     FieldRule().unkeyed("each run is keyed by its own MixSpec")},
+    {"mystery", "uint", FieldRule()},
 };
-
-const KeyDef knobKeys[] = {
-    {"workers", "uint", nullptr},
-    {"mystery", "uint", nullptr},
-};
-
-} // anonymous namespace
-} // namespace cdcs

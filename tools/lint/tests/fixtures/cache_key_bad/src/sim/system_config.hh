@@ -1,5 +1,4 @@
-// Fixture: SystemConfig with a seeded unkeyed behavior knob
-// (fooKnob) and a stale `via` alias (memPlacement).
+// Fixture: one seeded violation of each field-list rule.
 #ifndef FIXTURE_SYSTEM_CONFIG_HH
 #define FIXTURE_SYSTEM_CONFIG_HH
 
@@ -9,22 +8,35 @@
 namespace cdcs
 {
 
+struct MoveConfig
+{
+    std::uint64_t walkDelay = 50000;
+    double allocHysteresis = 0.25;
+};
+
 struct SystemConfig
 {
     int meshWidth = 8;
     std::uint64_t seed = 42;
+    std::string statsFilter;
+    MoveConfig moveCfg;
 
-    /** Behavior knob the cache key forgot. */
-    double fooKnob = 1.0;
-
-    std::string memPlacement = "interleave";
-
-    std::uint64_t
-    llcLines() const
-    {
-        return static_cast<std::uint64_t>(meshWidth);
-    }
+    /** A behavior knob no entry binds. */
+    int fooKnob = 3;
 };
+
+template <typename Config, typename Visit>
+void
+forEachField(Config &c, Visit &&visit)
+{
+    using R = FieldRule;
+    visit("meshWidth", c.meshWidth, R().atLeast(1));
+    visit("seed", c.seed, R());
+    visit("seedAgain", c.seed, R());
+    visit("stats", c.statsFilter, R().unkeyed(""));
+    visit("walkDelay", c.moveCfg.walkDelay, R());
+    visit("ghost", c.ghostField, R());
+}
 
 } // namespace cdcs
 

@@ -1,19 +1,14 @@
-// Fixture: cacheKey covering every behavior field.
-#include "sim/experiment_runner.hh"
-
-namespace cdcs
-{
-
+// Fixture: cacheKey keys SystemConfig through the field list.
 std::string
 ExperimentRunner::cacheKey(const SystemConfig &cfg,
-                           const SchemeSpec &scheme,
-                           const MixSpec &mix)
+                           const SchemeSpec &scheme)
 {
     std::string key;
-    appendF(key, "cfg:%d,%llu|", cfg.meshWidth,
-            static_cast<unsigned long long>(cfg.seed));
-    appendF(key, "memp:%s|", cfg.effectiveMemPlacement().c_str());
+    forEachField(cfg, [&key](const char *name, const auto &,
+                             const FieldRule &rule) {
+        if (rule.unkeyedReason == nullptr)
+            key += name;
+    });
+    appendF(key, "spec:%d", static_cast<int>(scheme.kind));
     return key;
 }
-
-} // namespace cdcs

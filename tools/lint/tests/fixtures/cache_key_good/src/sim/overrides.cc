@@ -1,27 +1,7 @@
-// Fixture: override tables matching the clean cacheKey.
-#include "sim/overrides.hh"
-
-namespace cdcs
-{
-namespace
-{
-
-const KeyDef configKeys[] = {
-    {"meshWidth", "int",
-     [](SystemConfig &c, const Override &v) {
-         c.meshWidth = static_cast<int>(v.i);
-     }},
-    {"seed", "uint",
-     [](SystemConfig &c, const Override &v) { c.seed = v.u; }},
-    {"stats", "string",
-     [](SystemConfig &c, const Override &v) {
-         c.statsFilter = v.value;
-     }},
+// Fixture: study knobs, each with its reason.
+const Knob knobs[] = {
+    {"mixes", "uint",
+     FieldRule().unkeyed("each run is keyed by its own MixSpec")},
+    {"workers", "uint",
+     FieldRule().atMost(1024).unkeyed("parallelism only")},
 };
-
-const KeyDef knobKeys[] = {
-    {"workers", "uint", nullptr},
-};
-
-} // anonymous namespace
-} // namespace cdcs

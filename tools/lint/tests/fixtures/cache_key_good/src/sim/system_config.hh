@@ -1,4 +1,4 @@
-// Fixture: fully accounted-for SystemConfig (clean run).
+// Fixture: a field list that binds every SystemConfig member once.
 #ifndef FIXTURE_SYSTEM_CONFIG_HH
 #define FIXTURE_SYSTEM_CONFIG_HH
 
@@ -8,25 +8,41 @@
 namespace cdcs
 {
 
+struct MoveConfig
+{
+    std::uint64_t walkDelay = 50000;
+    double allocHysteresis = 0.25;
+
+    std::uint64_t twice() const { return 2 * walkDelay; }
+};
+
 struct SystemConfig
 {
     int meshWidth = 8;
     std::uint64_t seed = 42;
-
-    /** Reporting-only; allowlisted. */
     std::string statsFilter;
+    MoveConfig moveCfg;
 
-    bool numaAwareMem = false;
-    std::string memPlacement = "interleave";
-
-    std::string
-    effectiveMemPlacement() const
+    bool
+    statsEnabled() const
     {
-        if (memPlacement == "interleave" && numaAwareMem)
-            return "first-touch";
-        return memPlacement;
+        return !statsFilter.empty();
     }
 };
+
+template <typename Config, typename Visit>
+void
+forEachField(Config &c, Visit &&visit)
+{
+    using R = FieldRule;
+    visit("meshWidth", c.meshWidth, R().atLeast(1));
+    visit("seed", c.seed, R());
+    visit("stats", c.statsFilter,
+          R().unkeyed("reporting-only: the simulation never "
+                      "reads it"));
+    visit("walkDelay", c.moveCfg.walkDelay, R());
+    visit("allocHysteresis", c.moveCfg.allocHysteresis, R().atMost(1));
+}
 
 } // namespace cdcs
 
