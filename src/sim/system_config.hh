@@ -334,8 +334,8 @@ forEachField(Config &c, Visit &&visit)
     visit("flitBits", c.noc.flitBits, R().notSettable());
     visit("headerBits", c.noc.headerBits, R().notSettable());
     visit("modelMemBandwidth", c.modelMemBandwidth, R());
-    // Service rates: the queue model divides by them, and at 1024
-    // lines/cycle no mix queues any more.
+    // Service rates: the queue model divides by them, and 1024
+    // lines/cycle is far past any mix's miss rate.
     visit("memLinesPerCycle", c.memLinesPerCycle,
           R().above(0).atMost(1024));
     visit("memChannels", c.memChannels, R().atLeast(1));
