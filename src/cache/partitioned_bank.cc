@@ -277,14 +277,4 @@ PartitionedBank::walkCollect(std::uint32_t num_sets,
     return walk(num_sets, should_go, &out, removed);
 }
 
-void
-PartitionedBank::invalidateAll()
-{
-    array.invalidateAll();
-    for (VcState &s : vcs)
-        s.occupancy = 0;
-    totalValid = 0;
-    walkCursor = 0;
-}
-
 } // namespace cdcs

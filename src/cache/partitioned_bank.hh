@@ -167,9 +167,6 @@ class PartitionedBank
     /** Reset the walk cursor to set 0. */
     void resetWalk() { walkCursor = 0; }
 
-    /** Invalidate all lines (used by tests and full resets). */
-    void invalidateAll();
-
     /** Direct read-only access for tests and debugging tools. */
     const CacheArray &rawArray() const { return array; }
 

@@ -1,20 +1,17 @@
 /**
  * @file
- * A work-stealing thread pool over lock-free Chase-Lev deques. run()
- * distributes a batch round-robin across per-worker deques (pushes
- * serialized by a submit mutex, so the submitter side is the deques'
- * single "owner"); workers drain them with lock-free steals — their
- * own share first, then victims' — so a batch of unevenly-sized tasks
- * (e.g. S-NUCA vs. CDCS runs) keeps every core busy until the batch
- * drains, with no lock on the execution path.
+ * A striped parallel-for over persistent workers. run(n, fn) deals
+ * the indices [0, n) into one stripe per worker (worker w owns w,
+ * w+N, w+2N, ...), each stripe one atomic cursor. A worker drains its
+ * own stripe in order, then the other stripes, so a batch of
+ * unevenly-sized jobs (e.g. S-NUCA vs. CDCS runs) keeps every core
+ * busy until the batch drains. Between batches the workers park on a
+ * condition variable.
  *
- * Sleeping workers are woken only when the idle count is nonzero
- * (never a broadcast to a fully-busy pool), and wakeupCount() exposes
- * how often that happened so tests can pin the no-idle-no-wakeup
- * contract.
- *
- * Tasks must not throw. Nested run() calls from inside a worker
- * execute inline (serially) instead of deadlocking the pool.
+ * One batch runs at a time: a second outside caller waits until the
+ * current batch has drained. fn must not throw. Nested run() calls
+ * from inside a worker, and every run() of a 1-worker pool, execute
+ * inline (serially) on the calling thread.
  */
 
 #ifndef CDCS_COMMON_TASK_POOL_HH
@@ -22,19 +19,17 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "common/chase_lev.hh"
-
 namespace cdcs
 {
 
-/** Work-stealing pool with persistent workers. */
+/** Parallel-for pool with persistent workers and striped indices. */
 class WorkStealingPool
 {
   public:
@@ -49,37 +44,12 @@ class WorkStealingPool
     WorkStealingPool(const WorkStealingPool &) = delete;
     WorkStealingPool &operator=(const WorkStealingPool &) = delete;
 
-    /** Run a batch of tasks; blocks until every task completed. */
-    void run(std::vector<std::function<void()>> tasks);
+    /** Call fn(i) once for every i in [0, n); blocks until done. */
+    void run(std::size_t n, const std::function<void(std::size_t)> &fn);
 
     unsigned workerCount() const { return numWorkers; }
 
-    /** Workers currently parked on the sleep cv (racy, for tests). */
-    unsigned
-    idleWorkers() const
-    {
-        return idleCount.load();
-    }
-
-    /** Tasks enqueued but not yet claimed (racy, for tests). */
-    std::uint64_t
-    queuedTasks() const
-    {
-        return queued.load();
-    }
-
-    /**
-     * How many submissions woke sleeping workers. A submit while
-     * every worker is busy must not bump this (the broadcast-on-
-     * every-submit regression the counter exists to pin).
-     */
-    std::uint64_t
-    wakeupCount() const
-    {
-        return wakeups.load();
-    }
-
-    /** Tasks a worker took from another worker's deque. */
+    /** Indices a worker took from another worker's stripe. */
     std::uint64_t
     stealCount() const
     {
@@ -98,31 +68,27 @@ class WorkStealingPool
 
   private:
     void workerLoop(unsigned self);
-    /** Steal own share or a victim's; false when nothing runnable. */
-    bool runOneTask(unsigned self);
+    /** Run every index left in the batch, own stripe first. */
+    void drain(unsigned self);
 
     unsigned numWorkers;
-    std::vector<std::unique_ptr<ChaseLevDeque>> deques;
+    /** Stripe w's cursor: how many of its indices were claimed. */
+    std::vector<std::atomic<std::size_t>> cursors;
+
+    std::mutex mu;
+    std::condition_variable workCv;  ///< Wakes parked workers.
+    std::condition_variable doneCv;  ///< Wakes waiting run() calls.
+    // The current batch, guarded by mu (fn == nullptr: none).
+    const std::function<void(std::size_t)> *batchFn = nullptr;
+    std::size_t batchSize = 0;
+    std::uint64_t batchNumber = 0;   ///< Bumped once per batch.
+    unsigned busyWorkers = 0;        ///< Still draining this batch.
+    bool stopping = false;
+
+    std::atomic<std::uint64_t> steals{0};  ///< Cross-stripe takes.
+    std::atomic<std::uint64_t> idleNs{0};  ///< Parked wall time.
+
     std::vector<std::thread> threads;
-
-    /**
-     * Serializes submitters: Chase-Lev bottoms have a single owner,
-     * and here the owner is "whoever is inside run()" — workers never
-     * push (nested run() executes inline), they only steal.
-     */
-    std::mutex submitMu;
-
-    std::mutex sleepMu;
-    std::condition_variable workCv;  ///< Wakes idle workers.
-    std::condition_variable doneCv;  ///< Wakes a blocked run().
-    std::atomic<std::uint64_t> queued{0};    ///< Tasks in deques.
-    std::atomic<std::uint64_t> pending{0};   ///< Unfinished tasks.
-    std::atomic<unsigned> idleCount{0};      ///< Parked workers.
-    std::atomic<std::uint64_t> wakeups{0};   ///< Submit-side notifies.
-    std::atomic<std::uint64_t> steals{0};    ///< Cross-deque takes.
-    std::atomic<std::uint64_t> idleNs{0};    ///< Parked wall time.
-    std::atomic<bool> stopping{false};
-    std::atomic<unsigned> nextQueue{0};      ///< Round-robin cursor.
 };
 
 } // namespace cdcs

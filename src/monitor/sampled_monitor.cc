@@ -136,13 +136,6 @@ SampledMonitor::clearCounters()
     sampledCount = 0;
 }
 
-void
-SampledMonitor::clearAll()
-{
-    clearCounters();
-    std::fill(validBits.begin(), validBits.end(), false);
-}
-
 double
 SampledMonitor::gammaForCoverage(std::uint32_t num_sets,
                                  std::uint32_t num_ways,

@@ -61,9 +61,6 @@ class SampledMonitor
      */
     Curve missCurve() const;
 
-    /** Set the raw-hit noise floor used by missCurve(). */
-    void setNoiseFloor(std::uint64_t floor) { noiseFloor = floor; }
-
     /** Capacity in lines modeled by ways [0, w]. */
     double modeledCapacity(std::uint32_t w) const;
 
@@ -79,9 +76,6 @@ class SampledMonitor
 
     /** Reset hit/access counters, keeping the tag state warm. */
     void clearCounters();
-
-    /** Reset counters and tags. */
-    void clearAll();
 
     std::uint32_t sets() const { return numSets; }
     std::uint32_t ways() const { return numWays; }
@@ -122,7 +116,7 @@ class SampledMonitor
     std::vector<std::uint64_t> hitCounters;
     std::uint64_t accessCount = 0;
     std::uint64_t sampledCount = 0;
-    std::uint64_t noiseFloor = 2;
+    static constexpr std::uint64_t noiseFloor = 2;
 };
 
 } // namespace cdcs

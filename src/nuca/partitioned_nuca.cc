@@ -243,11 +243,4 @@ PartitionedNucaPolicy::advanceWalk(Cycles elapsed,
     return invalidated;
 }
 
-const VcDescriptor &
-PartitionedNucaPolicy::descriptor(VcId vc) const
-{
-    cdcs_assert(vc < descriptors.size(), "VC out of range");
-    return descriptors[vc];
-}
-
 } // namespace cdcs

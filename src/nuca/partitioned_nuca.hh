@@ -116,9 +116,6 @@ class PartitionedNucaPolicy : public NucaPolicy
 
     bool wantsMonitors() const override { return true; }
 
-    /** Current descriptor of a VC (for tests/inspection). */
-    const VcDescriptor &descriptor(VcId vc) const;
-
     /** Current allocation matrix alloc[vc][bank] (lines). */
     const std::vector<std::vector<double>> &allocation() const
     {

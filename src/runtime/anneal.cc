@@ -85,72 +85,6 @@ annealThreads(const std::vector<std::vector<double>> &alloc,
     return start;
 }
 
-std::vector<std::vector<double>>
-annealData(std::vector<std::vector<double>> alloc,
-           const std::vector<double> &sizes,
-           const std::vector<std::vector<double>> &access,
-           const std::vector<TileId> &thread_core, const Mesh &mesh,
-           double /*tile_capacity_lines*/, double granule,
-           int iterations, Rng &rng)
-{
-    const std::size_t num_vcs = alloc.size();
-    if (num_vcs == 0 || iterations <= 0)
-        return alloc;
-    const int num_tiles = mesh.numTiles();
-
-    // Access-weighted per-VC tile distances (see refined placer).
-    std::vector<double> total_access(num_vcs, 0.0);
-    std::vector<std::vector<double>> dist(
-        num_vcs, std::vector<double>(num_tiles, 0.0));
-    for (std::size_t t = 0; t < access.size(); t++) {
-        for (std::size_t d = 0; d < num_vcs; d++) {
-            const double a = access[t][d];
-            if (a <= 0.0)
-                continue;
-            total_access[d] += a;
-            for (TileId b = 0; b < num_tiles; b++)
-                dist[d][b] += a * mesh.hops(thread_core[t], b);
-        }
-    }
-    for (std::size_t d = 0; d < num_vcs; d++) {
-        if (total_access[d] > 0.0) {
-            for (TileId b = 0; b < num_tiles; b++)
-                dist[d][b] /= total_access[d];
-        }
-    }
-
-    double temp = 1.0;
-    const double cooling =
-        std::pow(1e-4, 1.0 / static_cast<double>(iterations));
-    for (int it = 0; it < iterations; it++) {
-        const auto d = static_cast<std::size_t>(rng.below(num_vcs));
-        const auto e = static_cast<std::size_t>(rng.below(num_vcs));
-        const auto b1 = static_cast<TileId>(rng.below(num_tiles));
-        const auto b2 = static_cast<TileId>(rng.below(num_tiles));
-        temp *= cooling;
-        if (d == e || b1 == b2)
-            continue;
-        if (alloc[d][b1] <= 0.0 || alloc[e][b2] <= 0.0)
-            continue;
-        const double q =
-            std::min({granule, alloc[d][b1], alloc[e][b2]});
-        const double int_d =
-            sizes[d] > 0.0 ? total_access[d] / sizes[d] : 0.0;
-        const double int_e =
-            sizes[e] > 0.0 ? total_access[e] / sizes[e] : 0.0;
-        const double delta = q *
-            (int_d * (dist[d][b2] - dist[d][b1]) +
-             int_e * (dist[e][b1] - dist[e][b2]));
-        if (delta < 0.0 || rng.uniform() < std::exp(-delta / temp)) {
-            alloc[d][b1] -= q;
-            alloc[d][b2] += q;
-            alloc[e][b2] -= q;
-            alloc[e][b1] += q;
-        }
-    }
-    return alloc;
-}
-
 RuntimeOutput
 AnnealingRuntime::reconfigure(const RuntimeInput &input)
 {

@@ -1,10 +1,10 @@
 /**
  * @file
- * Simulated-annealing comparators (Sec. VI-C): expensive stochastic
- * search over thread placements and data placements, standing in for
- * the paper's Gurobi ILP formulation (see DESIGN.md). The paper's
- * point — the cheap CDCS heuristics come within ~1% of these — is what
- * the bench harness checks.
+ * Simulated-annealing comparator (Sec. VI-C): expensive stochastic
+ * search over thread placements, standing in for the paper's Gurobi
+ * ILP formulation (see DESIGN.md). The paper's point — the cheap CDCS
+ * heuristics come within ~1% of it — is what the bench harness
+ * checks.
  */
 
 #ifndef CDCS_RUNTIME_ANNEAL_HH
@@ -39,20 +39,6 @@ annealThreads(const std::vector<std::vector<double>> &alloc,
               const std::vector<std::vector<double>> &access,
               std::vector<TileId> start, const Mesh &mesh,
               int iterations, Rng &rng);
-
-/**
- * Anneal a data placement (granule swaps between tiles) against
- * Eq. 2, keeping threads fixed. The ILP-data-placement stand-in.
- *
- * @param granule Lines moved per proposal.
- */
-std::vector<std::vector<double>>
-annealData(std::vector<std::vector<double>> alloc,
-           const std::vector<double> &sizes,
-           const std::vector<std::vector<double>> &access,
-           const std::vector<TileId> &thread_core, const Mesh &mesh,
-           double tile_capacity_lines, double granule, int iterations,
-           Rng &rng);
 
 /**
  * A CDCS runtime whose thread placement is post-processed by

@@ -107,8 +107,13 @@ ExperimentRunner::ExperimentRunner(Options options)
                 "shard index out of range");
     if (!opts.cacheDir.empty()) {
         resultStore = std::make_unique<ResultStore>(opts.cacheDir);
-        if (!resultStore->ok())
+        if (!resultStore->ok()) {
+            std::fprintf(stderr,
+                         "[result-store] %s — persistent cache "
+                         "disabled\n",
+                         resultStore->error().c_str());
             resultStore.reset();
+        }
     }
     // Sharding partitions on the store's salted content hash and is
     // only useful when shards can exchange results through a store.
@@ -359,14 +364,9 @@ std::vector<RunResult>
 ExperimentRunner::runAll(const std::vector<Job> &jobs)
 {
     std::vector<RunResult> results(jobs.size());
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); i++) {
-        tasks.push_back([this, &jobs, &results, i]() {
-            results[i] = runJob(jobs[i]);
-        });
-    }
-    pool.run(std::move(tasks));
+    pool.run(jobs.size(), [this, &jobs, &results](std::size_t i) {
+        results[i] = runJob(jobs[i]);
+    });
     return results;
 }
 
@@ -387,11 +387,8 @@ ExperimentRunner::forEach(int n, const std::function<void(int)> &fn)
 {
     if (n <= 0)
         return;
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(n);
-    for (int i = 0; i < n; i++)
-        tasks.push_back([&fn, i]() { fn(i); });
-    pool.run(std::move(tasks));
+    pool.run(static_cast<std::size_t>(n),
+             [&fn](std::size_t i) { fn(static_cast<int>(i)); });
 }
 
 SweepResult

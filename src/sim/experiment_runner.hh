@@ -168,12 +168,12 @@ class ExperimentRunner
                       int mixes,
                       const std::function<MixSpec(int)> &mix_of);
 
-    /** Parallel index map over [0, n) (work-stealing order). */
+    /** Parallel index map over [0, n) (the pool's stripe order). */
     void forEach(int n, const std::function<void(int)> &fn);
 
     unsigned workers() const { return pool.workerCount(); }
 
-    /** The shared pool (steal/wakeup/idle counters for reporting). */
+    /** The shared pool (steal/idle counters for reporting). */
     const WorkStealingPool &taskPool() const { return pool; }
 
     const Options &options() const { return opts; }

@@ -1,7 +1,10 @@
 #include "sim/report.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdarg>
+#include <cstring>
+#include <filesystem>
 #include <vector>
 
 #include "common/format.hh"
@@ -65,6 +68,17 @@ artifactFragment(const std::string &s)
 
 } // anonymous namespace
 
+ReportSink::ReportSink(std::string json_dir)
+    : jsonDir(std::move(json_dir))
+{
+    // As with the result store's cacheDir, a missing directory is
+    // created; a path that cannot be one fails every artifact write.
+    if (!jsonDir.empty()) {
+        std::error_code ec;
+        std::filesystem::create_directories(jsonDir, ec);
+    }
+}
+
 void
 ReportSink::printf(const char *fmt, ...)
 {
@@ -109,7 +123,9 @@ ReportSink::artifact(const std::string &name, std::string_view kind,
     if (!jsonDir.empty()) {
         path = jsonDir + "/" + name + ".json";
         if (!writeJsonFile(path, json)) {
-            std::fprintf(stderr, "failed to write %s\n", path.c_str());
+            std::fprintf(stderr, "failed to write %s: %s\n",
+                         path.c_str(), std::strerror(errno));
+            writeFailed = true;
             path.clear();
         }
     }
@@ -125,11 +141,10 @@ ReportSink::timing(const std::string &study, const StudyTiming &t)
     };
     printf("[timing: wall %.3f s; access %.3f s (%.1f%%), "
            "reconfig %.3f s (%.1f%%), cache-io %.3f s (%.1f%%); "
-           "pool %llu steals, %llu wakeups, idle %.3f s]\n",
+           "pool %llu steals, idle %.3f s]\n",
            t.wallSec, t.accessSec, pct(t.accessSec), t.reconfigSec,
            pct(t.reconfigSec), t.cacheIoSec, pct(t.cacheIoSec),
            static_cast<unsigned long long>(t.poolSteals),
-           static_cast<unsigned long long>(t.poolWakeups),
            t.poolIdleSec);
 }
 
@@ -392,11 +407,9 @@ JsonReportSink::timing(const std::string &study,
     appendF(json,
             "\"wallSec\": %.17g, \"accessSec\": %.17g, "
             "\"reconfigSec\": %.17g, \"cacheIoSec\": %.17g, "
-            "\"poolSteals\": %llu, \"poolWakeups\": %llu, "
-            "\"poolIdleSec\": %.17g}",
+            "\"poolSteals\": %llu, \"poolIdleSec\": %.17g}",
             t.wallSec, t.accessSec, t.reconfigSec, t.cacheIoSec,
             static_cast<unsigned long long>(t.poolSteals),
-            static_cast<unsigned long long>(t.poolWakeups),
             t.poolIdleSec);
     onArtifact("timing", "timing", json, "");
 }

@@ -78,10 +78,9 @@ struct StudyTiming
     double reconfigSec = 0.0;  ///< Epoch-boundary runtime reconfig.
     double cacheIoSec = 0.0;   ///< Persistent result-store I/O.
 
-    // Work-stealing pool counters over the same window (all zero on
+    // Experiment-pool counters over the same window (all zero on
     // serial runs, where the pool never spawns workers).
-    std::uint64_t poolSteals = 0;   ///< Cross-deque task takes.
-    std::uint64_t poolWakeups = 0;  ///< Submissions that woke sleepers.
+    std::uint64_t poolSteals = 0;   ///< Cross-stripe index takes.
     double poolIdleSec = 0.0;       ///< Worker time parked on the cv.
 };
 
@@ -91,12 +90,10 @@ class ReportSink
   public:
     /**
      * A non-empty `json_dir` exports every artifact as a
-     * <json_dir>/<name>.json file, whatever the output format.
+     * <json_dir>/<name>.json file, whatever the output format. The
+     * directory is created if missing.
      */
-    explicit ReportSink(std::string json_dir = "")
-        : jsonDir(std::move(json_dir))
-    {
-    }
+    explicit ReportSink(std::string json_dir = "");
     virtual ~ReportSink() = default;
 
     /** Free-form preformatted text (the legacy printf stream). */
@@ -132,6 +129,9 @@ class ReportSink
     void artifact(const std::string &name, std::string_view kind,
                   std::string_view json);
 
+    /** Some artifact could not be written under the jsonDir. */
+    bool artifactWriteFailed() const { return writeFailed; }
+
     /**
      * A study's phase-timing footer (emitted by runStudy only under
      * `--set timing=1`). The default implementation renders the text
@@ -166,6 +166,7 @@ class ReportSink
 
   private:
     std::string jsonDir;
+    bool writeFailed = false;
 };
 
 /**

@@ -4,10 +4,10 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 
 #include <fcntl.h>
 #include <sys/file.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/log.hh"
@@ -243,29 +243,6 @@ transferResult(Io &io, Result &r)
 }
 
 bool
-makeDirs(const std::string &path)
-{
-    std::string partial;
-    partial.reserve(path.size());
-    for (std::size_t i = 0; i <= path.size(); i++) {
-        if (i < path.size() && path[i] != '/') {
-            partial.push_back(path[i]);
-            continue;
-        }
-        if (!partial.empty() && partial != ".") {
-            if (::mkdir(partial.c_str(), 0755) != 0 &&
-                errno != EEXIST) {
-                return false;
-            }
-        }
-        if (i < path.size())
-            partial.push_back('/');
-    }
-    struct stat st;
-    return ::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode);
-}
-
-bool
 readFile(const std::string &path, std::string *out)
 {
     std::FILE *f = std::fopen(path.c_str(), "rb");
@@ -294,23 +271,18 @@ ResultStore::ResultStore(std::string dir, std::string version_)
 {
     if (root.empty())
         return;
-    if (!makeDirs(root)) {
-        std::fprintf(stderr,
-                     "[result-store] cannot create '%s': %s — "
-                     "persistent cache disabled\n",
-                     root.c_str(), std::strerror(errno));
+    std::error_code ec;
+    std::filesystem::create_directories(root, ec);
+    if (ec) {
+        failure = "cannot create '" + root + "': " + ec.message();
         return;
     }
     const std::string lock_path = root + "/.lock";
     lockFd = ::open(lock_path.c_str(), O_CREAT | O_RDWR, 0644);
     if (lockFd < 0) {
-        std::fprintf(stderr,
-                     "[result-store] cannot open '%s': %s — "
-                     "persistent cache disabled\n",
-                     lock_path.c_str(), std::strerror(errno));
-        return;
+        failure = "cannot open '" + lock_path +
+            "': " + std::strerror(errno);
     }
-    usable = true;
 }
 
 ResultStore::~ResultStore()
@@ -342,7 +314,7 @@ ResultStore::recordPath(std::uint64_t hash) const
 bool
 ResultStore::load(const std::string &key, RunResult *out)
 {
-    if (!usable)
+    if (!ok())
         return false;
     const std::uint64_t hash = keyHash(key);
     std::string blob;
@@ -401,7 +373,7 @@ ResultStore::load(const std::string &key, RunResult *out)
 bool
 ResultStore::save(const std::string &key, const RunResult &result)
 {
-    if (!usable)
+    if (!ok())
         return false;
     const std::uint64_t hash = keyHash(key);
 

@@ -47,7 +47,8 @@ class ResultStore
      * Open (creating if needed) the store rooted at `dir`. Records
      * are only trusted when their embedded version equals `version`
      * (default: the compiled-in code version). Check ok() before use;
-     * a store that failed to set up its directory ignores all I/O.
+     * a store that failed to set up its directory ignores all I/O,
+     * and error() says why.
      */
     explicit ResultStore(std::string dir,
                          std::string version = buildVersion());
@@ -57,7 +58,10 @@ class ResultStore
     ResultStore &operator=(const ResultStore &) = delete;
 
     /** Directory and lock file usable. */
-    bool ok() const { return usable; }
+    bool ok() const { return lockFd >= 0; }
+
+    /** Why a store with a directory is not ok() ("" otherwise). */
+    const std::string &error() const { return failure; }
 
     const std::string &directory() const { return root; }
     const std::string &codeVersion() const { return version; }
@@ -92,7 +96,7 @@ class ResultStore
 
     std::string root;
     std::string version;
-    bool usable = false;
+    std::string failure;
     int lockFd = -1; ///< Advisory writer lock (<root>/.lock).
 
     mutable std::mutex mu;

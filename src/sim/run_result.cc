@@ -59,19 +59,6 @@ RunResult::memCtrlImbalance() const
     return static_cast<double>(peak) / mean_load;
 }
 
-double
-RunResult::perThreadIpc(int epoch) const
-{
-    for (const EpochRecord &rec : epochTrace) {
-        if (rec.epoch == epoch) {
-            return rec.activeThreads > 0
-                ? rec.aggIpc / rec.activeThreads
-                : 0.0;
-        }
-    }
-    return 0.0;
-}
-
 int
 RunResult::recoveryEpochsAfter(int event_epoch,
                                double threshold) const

@@ -140,12 +140,6 @@ struct RunResult
     double memCtrlImbalance() const;
 
     /**
-     * Per-active-thread IPC of one traced epoch (aggIpc spread over
-     * the active threads); 0 when out of range or no one is active.
-     */
-    double perThreadIpc(int epoch) const;
-
-    /**
      * Weighted-speedup-recovery latency after the churn event at
      * `event_epoch`: epochs until per-active-thread IPC first
      * reaches `threshold` x its settled value (the last epoch before

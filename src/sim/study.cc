@@ -110,7 +110,6 @@ runStudy(const StudySpec &spec, const Overrides &overrides,
         StatRegistry::setEnabled(true);
     const WorkStealingPool &pool = runner.taskPool();
     const std::uint64_t steals_before = pool.stealCount();
-    const std::uint64_t wakeups_before = pool.wakeupCount();
     const std::uint64_t idle_before = pool.idleNanos();
     const StatRegistry::Snapshot stats_before =
         StatRegistry::snapshot();
@@ -186,7 +185,6 @@ runStudy(const StudySpec &spec, const Overrides &overrides,
         t.reconfigSec = phase_sec(Phase::Reconfig);
         t.cacheIoSec = phase_sec(Phase::StoreIo);
         t.poolSteals = pool.stealCount() - steals_before;
-        t.poolWakeups = pool.wakeupCount() - wakeups_before;
         t.poolIdleSec = 1e-9 * static_cast<double>(
             pool.idleNanos() - idle_before);
         sink.timing(spec.name, t);
@@ -420,6 +418,14 @@ studiesCliMain(int argc, char **argv)
                          merge ? "merge" : "--shard");
             return 2;
         }
+        // Shards and merge exchange results only through the
+        // store: one that cannot open must stop here, not fall back
+        // to simulating every cell.
+        if (const ResultStore store(ropts.cacheDir); !store.ok()) {
+            std::fprintf(stderr, "[result-store] %s\n",
+                         store.error().c_str());
+            return 2;
+        }
         if (sharded) {
             ropts.shardIndex = shard_index;
             ropts.shardCount = shard_count;
@@ -433,6 +439,8 @@ studiesCliMain(int argc, char **argv)
     for (const StudySpec *spec : specs)
         rc |= runStudy(*spec, overrides, runner, *sink);
     sink->finish();
+    if (sink->artifactWriteFailed())
+        rc |= 1;
     // One trace file per invocation, covering every study run.
     if (!Tracer::close())
         rc |= 1;

@@ -1,23 +1,20 @@
 /**
  * @file
- * Tests for the Chase-Lev deque and the work-stealing pool built on
- * it: owner LIFO / thief FIFO order, growth past the initial ring,
- * exactly-once delivery under concurrent thieves, inline nested
- * run(), and the idle-gated wakeup contract (a submit while every
- * worker is busy must not notify anyone — the broadcast-on-every-
- * submit throughput regression this suite exists to pin).
+ * Tests for the striped parallel-for pool: exactly-once delivery at
+ * 1 and 4 workers, serial == parallel results, inline nested run(),
+ * cross-stripe stealing when one index blocks, and a dense stress of
+ * uneven batches (the TSan CI job runs this file).
  */
 
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/chase_lev.hh"
 #include "common/task_pool.hh"
 
 namespace cdcs
@@ -25,135 +22,33 @@ namespace cdcs
 namespace
 {
 
-using Task = ChaseLevDeque::Task;
-
-TEST(ChaseLevDequeTest, OwnerTakesLifoThievesStealFifo)
-{
-    ChaseLevDeque deque;
-    std::vector<Task> tasks(6, [] {});
-    for (auto &t : tasks)
-        deque.push(&t);
-
-    // A thief sees the oldest entries first.
-    EXPECT_EQ(deque.steal(), &tasks[0]);
-    EXPECT_EQ(deque.steal(), &tasks[1]);
-    // The owner pops the newest.
-    EXPECT_EQ(deque.take(), &tasks[5]);
-    EXPECT_EQ(deque.take(), &tasks[4]);
-    EXPECT_EQ(deque.steal(), &tasks[2]);
-    EXPECT_EQ(deque.take(), &tasks[3]);
-    EXPECT_TRUE(deque.empty());
-    EXPECT_EQ(deque.take(), nullptr);
-    EXPECT_EQ(deque.steal(), nullptr);
-}
-
-TEST(ChaseLevDequeTest, GrowsPastInitialCapacityPreservingOrder)
-{
-    ChaseLevDeque deque(/*initial_capacity=*/4);
-    std::vector<Task> tasks(200, [] {});
-    // Interleave pushes with a few steals so the live window doesn't
-    // start at index 0 when the ring grows.
-    for (int i = 0; i < 8; i++)
-        deque.push(&tasks[static_cast<std::size_t>(i)]);
-    EXPECT_EQ(deque.steal(), &tasks[0]);
-    EXPECT_EQ(deque.steal(), &tasks[1]);
-    for (std::size_t i = 8; i < tasks.size(); i++)
-        deque.push(&tasks[i]);
-    for (std::size_t i = 2; i < tasks.size(); i++)
-        EXPECT_EQ(deque.steal(), &tasks[i]);
-    EXPECT_TRUE(deque.empty());
-}
-
-TEST(ChaseLevDequeTest, ConcurrentThievesClaimEachTaskExactlyOnce)
-{
-    constexpr int numTasks = 20000;
-    constexpr int numThieves = 3;
-    ChaseLevDeque deque(/*initial_capacity=*/8);
-    std::vector<Task> tasks(numTasks, [] {});
-    std::vector<std::atomic<int>> claims(numTasks);
-    for (auto &c : claims)
-        c.store(0);
-
-    std::atomic<bool> done{false};
-    std::atomic<int> claimed{0};
-    const auto claim = [&](Task *task) {
-        claims[static_cast<std::size_t>(task - tasks.data())]
-            .fetch_add(1);
-        claimed.fetch_add(1);
-    };
-
-    std::vector<std::thread> thieves;
-    for (int i = 0; i < numThieves; i++) {
-        thieves.emplace_back([&] {
-            while (!done.load()) {
-                if (Task *t = deque.steal())
-                    claim(t);
-            }
-            // Final drain so nothing is stranded at shutdown.
-            while (Task *t = deque.steal())
-                claim(t);
-        });
-    }
-
-    // The owner pushes everything, taking a share back as it goes
-    // (the mixed push/take/steal pattern of a real pool).
-    for (int i = 0; i < numTasks; i++) {
-        deque.push(&tasks[static_cast<std::size_t>(i)]);
-        if ((i & 7) == 0) {
-            if (Task *t = deque.take())
-                claim(t);
-        }
-    }
-    while (Task *t = deque.take())
-        claim(t);
-    done.store(true);
-    for (auto &t : thieves)
-        t.join();
-
-    EXPECT_EQ(claimed.load(), numTasks);
-    for (int i = 0; i < numTasks; i++)
-        EXPECT_EQ(claims[static_cast<std::size_t>(i)].load(), 1)
-            << "task " << i;
-}
-
 TEST(TaskPoolTest, RunsEveryTaskExactlyOnce)
 {
     for (unsigned workers : {1u, 4u}) {
         WorkStealingPool pool(workers);
-        constexpr int n = 500;
+        constexpr std::size_t n = 500;
         std::vector<std::atomic<int>> ran(n);
         for (auto &r : ran)
             r.store(0);
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(n);
-        for (int i = 0; i < n; i++) {
-            tasks.push_back([&ran, i] {
-                ran[static_cast<std::size_t>(i)].fetch_add(1);
-            });
-        }
-        pool.run(std::move(tasks));
-        for (int i = 0; i < n; i++)
-            EXPECT_EQ(ran[static_cast<std::size_t>(i)].load(), 1);
+        pool.run(n, [&ran](std::size_t i) { ran[i].fetch_add(1); });
+        for (std::size_t i = 0; i < n; i++)
+            EXPECT_EQ(ran[i].load(), 1) << "index " << i;
     }
 }
 
 TEST(TaskPoolTest, SerialAndParallelProduceIdenticalResults)
 {
-    // The pool only schedules: with results keyed by task index, a
+    // The pool only schedules: with results keyed by index, a
     // 1-worker (inline) pool and a wide pool must fill identical
     // output — the contract the deterministic sweeps build on.
     const auto fill = [](WorkStealingPool &pool,
                          std::vector<double> &out) {
-        std::vector<std::function<void()>> tasks;
-        for (std::size_t i = 0; i < out.size(); i++) {
-            tasks.push_back([&out, i] {
-                double x = static_cast<double>(i) + 1.0;
-                for (int k = 0; k < 50; k++)
-                    x = x * 1.0000001 + 0.5;
-                out[i] = x;
-            });
-        }
-        pool.run(std::move(tasks));
+        pool.run(out.size(), [&out](std::size_t i) {
+            double x = static_cast<double>(i) + 1.0;
+            for (int k = 0; k < 50; k++)
+                x = x * 1.0000001 + 0.5;
+            out[i] = x;
+        });
     };
     std::vector<double> serial(400, 0.0), parallel(400, 0.0);
     WorkStealingPool one(1), eight(8);
@@ -166,27 +61,45 @@ TEST(TaskPoolTest, NestedRunExecutesInlineWithoutDeadlock)
 {
     WorkStealingPool pool(2);
     std::atomic<int> inner{0};
-    std::vector<std::function<void()>> outer;
-    for (int i = 0; i < 4; i++) {
-        outer.push_back([&] {
-            std::vector<std::function<void()>> nested;
-            for (int j = 0; j < 8; j++)
-                nested.push_back([&] { inner.fetch_add(1); });
-            pool.run(std::move(nested));
-        });
-    }
-    pool.run(std::move(outer));
+    pool.run(4, [&](std::size_t) {
+        pool.run(8, [&](std::size_t) { inner.fetch_add(1); });
+    });
     EXPECT_EQ(inner.load(), 32);
 }
 
-TEST(TaskPoolTest, StressFourThievesTwentyThousandTasks)
+TEST(TaskPoolTest, BlockedIndexLeavesItsStripeToOtherWorkers)
+{
+    // Index 0 waits until every other index has run. Index 0's
+    // stripe also holds 4, 8, ..., so those complete only if other
+    // workers take them from that stripe; and whoever took index 0
+    // is either its owner (the rest are then stolen) or a thief.
+    // Either way the batch finishes and stealCount() moves.
+    constexpr std::size_t n = 64;
+    WorkStealingPool pool(4);
+    std::mutex mu;
+    std::condition_variable cv;
+    std::size_t others_done = 0;
+    pool.run(n, [&](std::size_t i) {
+        std::unique_lock<std::mutex> lock(mu);
+        if (i == 0) {
+            cv.wait(lock, [&] { return others_done == n - 1; });
+        } else {
+            others_done++;
+            cv.notify_all();
+        }
+    });
+    EXPECT_EQ(others_done, n - 1);
+    EXPECT_GT(pool.stealCount(), 0u);
+}
+
+TEST(TaskPoolTest, StressFourWorkersTwentyThousandTasks)
 {
     // Sanitizer stress (the TSan CI job runs this under
-    // CDCS_SANITIZE=thread): 4 worker threads hammering the
-    // Chase-Lev deques with 20k tiny tasks submitted in uneven
-    // batches, so push/take/steal interleavings — including the
-    // last-task CAS races — are exercised densely. Functional
-    // assertion: exactly-once execution and a correct sum.
+    // CDCS_SANITIZE=thread): 4 workers draining 20k tiny indices
+    // submitted in uneven batches, so cursor races on the last
+    // index of a stripe and the park/wake handoff between batches
+    // are exercised densely. Functional assertion: exactly-once
+    // execution and a correct sum.
     constexpr int numTasks = 20000;
     WorkStealingPool pool(4);
     std::vector<std::atomic<int>> ran(numTasks);
@@ -197,18 +110,16 @@ TEST(TaskPoolTest, StressFourThievesTwentyThousandTasks)
     int next = 0;
     int batch_size = 1;
     while (next < numTasks) {
-        std::vector<std::function<void()>> batch;
         const int end = std::min(numTasks, next + batch_size);
-        batch.reserve(static_cast<std::size_t>(end - next));
-        for (int i = next; i < end; i++) {
-            batch.push_back([&ran, &sum, i] {
-                ran[static_cast<std::size_t>(i)].fetch_add(1);
-                sum.fetch_add(i);
-            });
-        }
-        pool.run(std::move(batch));
+        const int base = next;
+        pool.run(static_cast<std::size_t>(end - base),
+                 [&ran, &sum, base](std::size_t k) {
+                     const int i = base + static_cast<int>(k);
+                     ran[static_cast<std::size_t>(i)].fetch_add(1);
+                     sum.fetch_add(i);
+                 });
         next = end;
-        // Uneven batches: singletons through ~4k-task storms.
+        // Uneven batches: singletons through ~4k-index storms.
         batch_size = batch_size >= 4096 ? 1 : batch_size * 4;
     }
 
@@ -220,71 +131,6 @@ TEST(TaskPoolTest, StressFourThievesTwentyThousandTasks)
     }
     EXPECT_EQ(sum.load(), expected);
     EXPECT_GT(pool.stealCount(), 0u);
-}
-
-TEST(TaskPoolTest, SubmitToBusyPoolDoesNotWakeAnyone)
-{
-    // The broadcast-on-every-submit regression: wakeupCount() must
-    // stay flat across submissions made while every worker is busy,
-    // keeping the submit path notification-free under full load.
-    WorkStealingPool pool(2);
-    ASSERT_EQ(pool.workerCount(), 2u);
-
-    std::mutex mu;
-    std::condition_variable cv;
-    int blocked = 0;
-    bool release = false;
-    std::vector<std::function<void()>> blockers;
-    for (int i = 0; i < 2; i++) {
-        blockers.push_back([&] {
-            std::unique_lock<std::mutex> lock(mu);
-            blocked++;
-            cv.notify_all();
-            cv.wait(lock, [&] { return release; });
-        });
-    }
-
-    std::thread first([&] { pool.run(std::move(blockers)); });
-    {
-        // Both workers are provably busy (inside a blocker task).
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return blocked == 2; });
-    }
-    ASSERT_EQ(pool.idleWorkers(), 0u);
-    const std::uint64_t wakeups_before = pool.wakeupCount();
-
-    // Submit several batches into the busy pool from other threads
-    // (run() blocks until its batch drains, so each needs one).
-    constexpr int extraBatches = 5;
-    std::atomic<int> extraRan{0};
-    std::vector<std::thread> submitters;
-    for (int b = 0; b < extraBatches; b++) {
-        submitters.emplace_back([&] {
-            std::vector<std::function<void()>> batch;
-            for (int i = 0; i < 4; i++)
-                batch.push_back([&] { extraRan.fetch_add(1); });
-            pool.run(std::move(batch));
-        });
-    }
-    // Wait until every batch has actually been enqueued: the tasks
-    // stay queued behind the blockers, and with no idle worker none
-    // of those submissions may have notified.
-    while (pool.queuedTasks() <
-           static_cast<std::uint64_t>(4 * extraBatches)) {
-        std::this_thread::yield();
-    }
-    EXPECT_EQ(pool.idleWorkers(), 0u);
-    EXPECT_EQ(pool.wakeupCount(), wakeups_before);
-
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        release = true;
-    }
-    cv.notify_all();
-    first.join();
-    for (auto &t : submitters)
-        t.join();
-    EXPECT_EQ(extraRan.load(), 4 * extraBatches);
 }
 
 } // anonymous namespace

@@ -2,13 +2,13 @@
  * @file
  * Tests for the reconfiguration-stability layer (DESIGN.md Sec. 6):
  * the runtime pipeline must reach a fixed point on stationary inputs,
- * size hysteresis must absorb noise without masking real change, and
- * the data annealer (ILP stand-in) must respect conservation.
+ * and size hysteresis must absorb noise without masking real change.
  */
 
 #include <gtest/gtest.h>
 
-#include "runtime/anneal.hh"
+#include "common/rng.hh"
+#include "runtime/cdcs_runtime.hh"
 #include "runtime/refined_placer.hh"
 #include "sim/system_config.hh"
 
@@ -112,47 +112,6 @@ TEST(StabilityTest, SizeHysteresisStillTracksRealChange)
     // The cliff moved from ~2.6 to ~5.4 tiles; the new allocation
     // must track it (well beyond any hysteresis band).
     EXPECT_GT(size_after, 1.3 * size_before);
-}
-
-TEST(StabilityTest, AnnealDataConservesCapacity)
-{
-    Mesh mesh(4, 4);
-    const int num_vcs = 4;
-    std::vector<double> sizes(num_vcs, 2.0 * tileCap);
-    std::vector<std::vector<double>> access;
-    std::vector<TileId> cores;
-    for (int t = 0; t < num_vcs; t++) {
-        std::vector<double> row(num_vcs, 0.0);
-        row[t] = 1000.0;
-        access.push_back(row);
-        cores.push_back(static_cast<TileId>(t));
-    }
-    auto alloc = refinePlace(sizes, access, cores, mesh, tileCap, {});
-
-    std::vector<double> tile_before(mesh.numTiles(), 0.0);
-    for (const auto &row : alloc) {
-        for (TileId b = 0; b < mesh.numTiles(); b++)
-            tile_before[b] += row[b];
-    }
-
-    Rng rng(3);
-    const auto annealed = annealData(alloc, sizes, access, cores,
-                                     mesh, tileCap, 256.0, 2000, rng);
-    for (std::size_t d = 0; d < annealed.size(); d++) {
-        double total = 0.0;
-        for (double a : annealed[d]) {
-            EXPECT_GE(a, -1e-9);
-            total += a;
-        }
-        EXPECT_NEAR(total, sizes[d], 1e-6);
-    }
-    std::vector<double> tile_after(mesh.numTiles(), 0.0);
-    for (const auto &row : annealed) {
-        for (TileId b = 0; b < mesh.numTiles(); b++)
-            tile_after[b] += row[b];
-    }
-    for (TileId b = 0; b < mesh.numTiles(); b++)
-        EXPECT_NEAR(tile_after[b], tile_before[b], 1e-6);
 }
 
 TEST(StabilityTest, TradeThresholdSuppressesMarginalSwaps)

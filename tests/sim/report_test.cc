@@ -296,7 +296,6 @@ driveEveryChannel(ReportSink &sink)
     t.reconfigSec = 0.5;
     t.cacheIoSec = 0.25;
     t.poolSteals = 3;
-    t.poolWakeups = 4;
     t.poolIdleSec = 0.125;
     sink.timing("pin", t);
 
@@ -389,7 +388,7 @@ TEST(ReportTest, EverySinkPinsStdoutAndJsonDirBytes)
     expected_text +=
         "[timing: wall 2.000 s; access 1.000 s (50.0%), "
         "reconfig 0.500 s (25.0%), cache-io 0.250 s (12.5%); "
-        "pool 3 steals, 4 wakeups, idle 0.125 s]\n";
+        "pool 3 steals, idle 0.125 s]\n";
     EXPECT_EQ(text_out, expected_text);
 
     std::string json_dir;
@@ -413,7 +412,7 @@ TEST(ReportTest, EverySinkPinsStdoutAndJsonDirBytes)
         art_json + "},\n"
         "   {\"name\": \"timing\", \"kind\": \"timing\", \"data\": "
         "{\"wallSec\": 2, \"accessSec\": 1, \"reconfigSec\": 0.5, "
-        "\"cacheIoSec\": 0.25, \"poolSteals\": 3, \"poolWakeups\": 4, "
+        "\"cacheIoSec\": 0.25, \"poolSteals\": 3, "
         "\"poolIdleSec\": 0.125}}\n"
         "  ]}\n"
         "]}\n";

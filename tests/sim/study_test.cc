@@ -9,6 +9,8 @@
  */
 
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -216,35 +218,103 @@ TEST(StudyTest, EnvironmentLosesToConfigureAndSet)
     EXPECT_EQ(seen_mixes, 3);                     // env > defaultMixes.
 }
 
+/** Run the studies CLI in-process; returns its exit status. */
+int
+runCli(std::vector<std::string> args)
+{
+    std::vector<char *> argv;
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    return studiesCliMain(static_cast<int>(argv.size()), argv.data());
+}
+
+/** `run fig14` at tiny knobs (one worker), plus `extra` arguments. */
+int
+runTinyFig14(std::vector<std::string> extra)
+{
+    std::vector<std::string> args = {"cdcs_studies", "run", "fig14"};
+    for (const char *kv :
+         {"epochAccesses=600", "epochs=2", "warmup=1", "mixes=1",
+          "chunkAccesses=1000", "workers=1"}) {
+        args.push_back("--set");
+        args.push_back(kv);
+    }
+    args.insert(args.end(), extra.begin(), extra.end());
+    return runCli(std::move(args));
+}
+
+/** A fresh regular file under the test temp dir. */
+std::string
+regularFile(const std::string &name)
+{
+    const std::string path = ::testing::TempDir() + name;
+    std::filesystem::remove_all(path);
+    std::ofstream(path) << "not a directory\n";
+    return path;
+}
+
 TEST(StudyCliTest, BadEnvironmentValuesExitTwo)
 {
     // The CLI reads CDCS_* through the --set checks and exits 2
     // before running anything; `--set workers=1` outranks
     // CDCS_WORKERS, so no pool is ever sized from these values.
-    const auto run_cli = [](std::vector<std::string> args) {
-        std::vector<char *> argv;
-        for (std::string &arg : args)
-            argv.push_back(arg.data());
-        return studiesCliMain(static_cast<int>(argv.size()),
-                              argv.data());
-    };
     const char *const bad[][2] = {{"CDCS_EPOCHS", "-1"},
                                   {"CDCS_MIXES", "abc"},
                                   {"CDCS_WORKERS", "-1"},
                                   {"CDCS_WORKERS", "5000"}};
     for (const auto &var : bad) {
         ::setenv(var[0], var[1], 1);
-        EXPECT_EQ(run_cli({"cdcs_studies", "run", "fig14", "--set",
-                           "workers=1"}),
+        EXPECT_EQ(runCli({"cdcs_studies", "run", "fig14", "--set",
+                          "workers=1"}),
                   2)
             << var[0] << "=" << var[1];
         ::unsetenv(var[0]);
     }
     // `list` rejects --set entries but ignores the environment.
-    EXPECT_EQ(run_cli({"cdcs_studies", "list", "--set", "epochs=1"}), 2);
+    EXPECT_EQ(runCli({"cdcs_studies", "list", "--set", "epochs=1"}), 2);
     ::setenv("CDCS_EPOCHS", "-1", 1);
-    EXPECT_EQ(run_cli({"cdcs_studies", "list"}), 0);
+    EXPECT_EQ(runCli({"cdcs_studies", "list"}), 0);
     ::unsetenv("CDCS_EPOCHS");
+}
+
+TEST(StudyCliTest, MissingJsonDirIsCreated)
+{
+    const std::string parent = ::testing::TempDir() + "cli_json_new";
+    std::filesystem::remove_all(parent);
+    const std::string dir = parent + "/nested";
+    EXPECT_EQ(runTinyFig14({"--set", "jsonDir=" + dir}), 0);
+    std::size_t exported = 0;
+    if (std::filesystem::is_directory(dir)) {
+        for (const auto &entry :
+             std::filesystem::directory_iterator(dir)) {
+            exported += entry.path().extension() == ".json";
+        }
+    }
+    EXPECT_GT(exported, 0u) << dir;
+    std::filesystem::remove_all(parent);
+}
+
+TEST(StudyCliTest, JsonDirThatCannotBeADirectoryExitsNonZero)
+{
+    // Every artifact write fails; the run must say so in its status.
+    const std::string file = regularFile("cli_json_file");
+    EXPECT_NE(runTinyFig14({"--set", "jsonDir=" + file}), 0);
+    EXPECT_NE(runTinyFig14({"--set", "jsonDir=" + file + "/sub"}), 0);
+    std::filesystem::remove(file);
+}
+
+TEST(StudyCliTest, UnopenableStoreExitsTwoBeforeAnyRun)
+{
+    // A directory under a regular file cannot be made, even by root.
+    const std::string file = regularFile("cli_store_file");
+    const std::string store = "cacheDir=" + file + "/store";
+    EXPECT_EQ(runCli({"cdcs_studies", "merge", "fig14", "--set",
+                      "workers=1", "--set", store}),
+              2);
+    EXPECT_EQ(runCli({"cdcs_studies", "run", "fig14", "--shard", "0/2",
+                      "--set", "workers=1", "--set", store}),
+              2);
+    std::filesystem::remove(file);
 }
 
 TEST(StudyTest, JsonSinkProducesOneDocument)

@@ -11,12 +11,15 @@ case:
   vic_placers), plus fig11 and fig12 at two mixes;
 * ``all_json``: the ``run all --format=json`` document, which carries
   all 24 studies at full precision and no wall-clock value;
-* off-state cases: a knob set that names the defaults explicitly (or
-  sets a subsystem's dependent knobs while it is off) must reproduce
-  the default golden of its base case byte for byte.
+* derived cases, which add knobs to a base case and must reproduce its
+  golden byte for byte: off-state cases name the defaults explicitly
+  (or set a subsystem's dependent knobs while it is off), and
+  ``all_json_serial`` and ``all_json_workers3`` rerun ``all_json`` on
+  1 and 3 workers.
 
-The output is a pure function of the config for any worker count, so
-the worker count is left at its default.
+The output is a pure function of the config for any worker count; the
+two worker cases check that, and every other case runs at the default
+worker count.
 
 Usage:
     golden.py --studies BUILD/cdcs_studies [CASE...]   check (all if none)
@@ -69,8 +72,8 @@ BASE["fig12_mixes2"] = (["run", "fig12"] + sets("mixes=2"),
                         "fig12_mixes2.txt")
 BASE["all_json"] = (["run", "all", "--format=json"], "all.json")
 
-# Off-state cases: name -> (base case, extra knobs).
-OFF_STATE = {
+# Derived cases: name -> (base case, extra knobs).
+DERIVED = {
     # The default network model is the zero-load adapter, and the
     # contention-aware placement oracle carries no waits under it.
     "fig11_mixes2_explicit_zero_load": ("fig11_mixes2",
@@ -89,6 +92,9 @@ OFF_STATE = {
         "skewAlpha=0", "churn=", "skewDriftEpochs=0", "skewPageHot=0")),
     "noc_sensitivity_obs_off": ("noc_sensitivity", sets(
         "stats=0", "statsEvery=1", "trace=")),
+    # Results do not depend on how the pool schedules the jobs.
+    "all_json_serial": ("all_json", sets("workers=1")),
+    "all_json_workers3": ("all_json", sets("workers=3")),
 }
 
 
@@ -96,7 +102,7 @@ def case_args(name):
     """(cdcs_studies arguments, golden file) of one case."""
     if name in BASE:
         return BASE[name]
-    base, extra = OFF_STATE[name]
+    base, extra = DERIVED[name]
     args, golden = BASE[base]
     return args + extra, golden
 
@@ -148,20 +154,20 @@ def main():
     opts = ap.parse_args()
 
     if opts.list:
-        print("\n".join(list(BASE) + list(OFF_STATE)))
+        print("\n".join(list(BASE) + list(DERIVED)))
         return 0
     if not opts.studies:
         ap.error("--studies is required")
-    unknown = [c for c in opts.cases if c not in BASE and c not in OFF_STATE]
+    unknown = [c for c in opts.cases if c not in BASE and c not in DERIVED]
     if unknown:
         ap.error(f"unknown case(s): {', '.join(unknown)}")
 
     if opts.update:
         names = opts.cases or list(BASE)
-        off = [c for c in names if c in OFF_STATE]
-        if off:
-            ap.error(f"off-state cases have no file of their own: "
-                     f"{', '.join(off)}")
+        derived = [c for c in names if c in DERIVED]
+        if derived:
+            ap.error(f"derived cases have no file of their own: "
+                     f"{', '.join(derived)}")
         os.makedirs(GOLDEN_DIR, exist_ok=True)
         for name in names:
             _, golden = BASE[name]
@@ -170,7 +176,7 @@ def main():
             print(f"{name}: wrote {golden}")
         return 0
 
-    names = opts.cases or list(BASE) + list(OFF_STATE)
+    names = opts.cases or list(BASE) + list(DERIVED)
     failed = [name for name in names if not check(opts.studies, name)]
     if failed:
         print(f"{len(failed)} golden case(s) differ: {', '.join(failed)}; "
