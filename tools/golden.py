@@ -11,6 +11,8 @@ case:
   vic_placers), plus fig11 and fig12 at two mixes;
 * ``all_json``: the ``run all --format=json`` document, which carries
   all 24 studies at full precision and no wall-clock value;
+* ``noc_sensitivity_stats``: noc_sensitivity's JSON document under
+  ``stats=1``, which pins its 20 per-scheme metrics traces;
 * derived cases, which add knobs to a base case and must reproduce its
   golden byte for byte: off-state cases name the defaults explicitly
   (or set a subsystem's dependent knobs while it is off), and
@@ -71,6 +73,9 @@ BASE["fig11_mixes2"] = (["run", "fig11"] + sets("mixes=2"),
 BASE["fig12_mixes2"] = (["run", "fig12"] + sets("mixes=2"),
                         "fig12_mixes2.txt")
 BASE["all_json"] = (["run", "all", "--format=json"], "all.json")
+BASE["noc_sensitivity_stats"] = (
+    ["run", "noc_sensitivity", "--format=json"] + sets("stats=1"),
+    "noc_sensitivity_stats.json")
 
 # Derived cases: name -> (base case, extra knobs).
 DERIVED = {
