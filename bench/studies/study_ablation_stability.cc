@@ -28,7 +28,6 @@ const StudyRegistrar registrar([] {
     spec.category = "ablation";
     spec.defaultMixes = 2;
     spec.lineup = {"snuca", "cdcs"};
-    spec.repeatedLineup = true; // Stable vs raw sweeps, same mixes.
     spec.run = [](StudyContext &ctx) {
         ctx.header();
 

@@ -61,7 +61,6 @@ const StudyRegistrar registrar([] {
     spec.category = "ablation";
     spec.defaultMixes = 2;
     spec.lineup = {"snuca", "jigsaw-r", "cdcs"};
-    spec.repeatedLineup = true; // One sweep per churn level.
     // Churn needs room: a window before, between and after the two
     // events. --set epochs/warmup still override.
     spec.configure = [](SystemConfig &cfg) {

@@ -40,7 +40,6 @@ const StudyRegistrar registrar([] {
     spec.defaultMixes = 4;
     spec.lineup = {"snuca",    "jigsaw-r", "jigsaw+l",
                    "jigsaw+t", "jigsaw+d", "jigsaw+ltd"};
-    spec.repeatedLineup = true; // Two sweeps (64-app and 4-app).
     spec.run = [](StudyContext &ctx) {
         ctx.header();
         runFactor(ctx, 64);

@@ -26,7 +26,6 @@ const StudyRegistrar registrar([] {
     spec.category = "figure";
     spec.defaultMixes = 3;
     spec.lineup = {"snuca", "rnuca", "jigsaw-c", "jigsaw-r", "cdcs"};
-    spec.repeatedLineup = true; // One sweep per app count.
     spec.run = [](StudyContext &ctx) {
         ctx.header();
         const std::vector<SchemeSpec> schemes = ctx.lineup();

@@ -29,7 +29,6 @@ const StudyRegistrar registrar([] {
     spec.category = "figure";
     spec.defaultMixes = 2;
     spec.lineup = {"snuca", "cdcs"};
-    spec.repeatedLineup = true; // One sweep per epoch scale.
     spec.run = [](StudyContext &ctx) {
         ctx.header();
 

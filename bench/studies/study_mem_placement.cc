@@ -39,7 +39,6 @@ const StudyRegistrar registrar([] {
     spec.category = "ablation";
     spec.defaultMixes = 2;
     spec.lineup = {"snuca", "rnuca", "jigsaw-r", "cdcs"};
-    spec.repeatedLineup = true; // One sweep per (policy, scale).
     spec.run = [](StudyContext &ctx) {
         ctx.header();
         const std::vector<SchemeSpec> schemes = ctx.lineup();

@@ -25,7 +25,6 @@ const StudyRegistrar registrar([] {
     spec.category = "ablation";
     spec.defaultMixes = 1;
     spec.lineup = {"snuca", "rnuca", "cdcs"};
-    spec.repeatedLineup = true; // Shares runs with noc_sensitivity.
     spec.configure = [](SystemConfig &cfg) {
         cfg.nocModel = "contention";
     };

@@ -51,10 +51,9 @@ const StudyRegistrar registrar([] {
     spec.category = "ablation";
     spec.defaultMixes = 2;
     spec.lineup = {"snuca", "rnuca", "jigsaw-r", "cdcs"};
-    // Two placement-cost arms re-run the same contended lineup, and
-    // the noc-cost arm at matching scales shares runs with
-    // noc_sensitivity (same mix seeds) in batched invocations.
-    spec.repeatedLineup = true;
+    // The result cache serves the runs the two placement-cost arms
+    // share, and in batched invocations the noc-cost arm's runs at
+    // noc_sensitivity's scales (same mix seeds).
     spec.run = [](StudyContext &ctx) {
         ctx.header();
         const std::vector<SchemeSpec> schemes = ctx.lineup();

@@ -40,7 +40,6 @@ const StudyRegistrar registrar([] {
     spec.category = "ablation";
     spec.defaultMixes = 2;
     spec.lineup = {"snuca", "jigsaw-r", "cdcs"};
-    spec.repeatedLineup = true; // One sweep per grid cell.
     spec.run = [](StudyContext &ctx) {
         ctx.header();
         const std::vector<SchemeSpec> schemes = ctx.lineup();

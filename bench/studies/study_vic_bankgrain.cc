@@ -25,7 +25,6 @@ const StudyRegistrar registrar([] {
     spec.category = "ablation";
     spec.defaultMixes = 3;
     spec.lineup = {"snuca", "cdcs"};
-    spec.repeatedLineup = true; // Fine vs bank-granular sweeps.
     spec.run = [](StudyContext &ctx) {
         const SystemConfig &fine_cfg = ctx.cfg;
         SystemConfig bank_cfg = fine_cfg;

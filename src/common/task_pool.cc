@@ -28,7 +28,7 @@ WorkStealingPool::defaultWorkers()
 
 WorkStealingPool::WorkStealingPool(unsigned workers)
     : numWorkers(workers > 0 ? workers : defaultWorkers()),
-      cursors(numWorkers)
+      cursors(numWorkers), parkedSince(numWorkers)
 {
     if (numWorkers <= 1)
         return;
@@ -72,29 +72,41 @@ WorkStealingPool::drain(unsigned self)
 void
 WorkStealingPool::workerLoop(unsigned self)
 {
+    using Clock = std::chrono::steady_clock;
+    // Charge worker w's park from parkedSince[w] up to `now`, and
+    // restart it there. Called with mu held.
+    const auto charge = [this](unsigned w, Clock::time_point now) {
+        idleNs.fetch_add(static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                now - parkedSince[w])
+                .count()));
+        parkedSince[w] = now;
+    };
     inside_pool = true;
     setLogWorker(static_cast<int>(self));
     Tracer::nameThread("worker-" + std::to_string(self));
     std::uint64_t seen = 0;
     std::unique_lock<std::mutex> lock(mu);
+    parkedSince[self] = Clock::now(); // lint:allow(wallclock): idle stat
     while (true) {
-        const auto park = std::chrono::steady_clock::now(); // lint:allow(wallclock)
         workCv.wait(lock, [&]() {
             return stopping || batchNumber != seen;
         });
-        // lint:allow(wallclock): idle-time stat, reporting-only
-        const auto parked = std::chrono::steady_clock::now() - park;
-        idleNs.fetch_add(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(parked)
-                .count()));
+        charge(self, Clock::now()); // lint:allow(wallclock): idle stat
         if (stopping)
             return;
         seen = batchNumber;
         lock.unlock();
         drain(self);
         lock.lock();
-        if (--busyWorkers == 0)
+        parkedSince[self] = Clock::now(); // lint:allow(wallclock)
+        if (--busyWorkers == 0) {
+            // The batch ends here: charge every worker's park so far,
+            // so a reading right after run() includes the tail.
+            for (unsigned w = 0; w < numWorkers; w++)
+                charge(w, parkedSince[self]);
             doneCv.notify_all();
+        }
     }
 }
 

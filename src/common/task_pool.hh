@@ -18,6 +18,7 @@
 #define CDCS_COMMON_TASK_POOL_HH
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -56,7 +57,12 @@ class WorkStealingPool
         return steals.load();
     }
 
-    /** Total nanoseconds workers spent parked on the sleep cv. */
+    /**
+     * Total nanoseconds workers spent parked on the sleep cv. A
+     * worker's park from leaving a batch to the end of that batch is
+     * charged when the batch ends, so a reading taken right after
+     * run() returns includes the batch tail.
+     */
     std::uint64_t
     idleNanos() const
     {
@@ -84,6 +90,8 @@ class WorkStealingPool
     std::uint64_t batchNumber = 0;   ///< Bumped once per batch.
     unsigned busyWorkers = 0;        ///< Still draining this batch.
     bool stopping = false;
+    /** Per worker, guarded by mu: parked since, uncharged to idleNs. */
+    std::vector<std::chrono::steady_clock::time_point> parkedSince;
 
     std::atomic<std::uint64_t> steals{0};  ///< Cross-stripe takes.
     std::atomic<std::uint64_t> idleNs{0};  ///< Parked wall time.

@@ -1,9 +1,12 @@
 #include "obs/trace.hh"
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <mutex>
 #include <vector>
 
@@ -36,6 +39,7 @@ struct TraceState
     std::mutex mu;
     std::vector<ThreadBuf *> bufs;  // never freed; bounded by threads
     std::string path;
+    std::FILE *file = nullptr;      // open between open() and close()
     /**
      * Trace-start time as nanoseconds on the steady clock, atomic
      * because record() reads it without the mutex: the release store
@@ -111,13 +115,28 @@ jsonEscape(const std::string &in)
 
 } // anonymous namespace
 
-void
-Tracer::open(const std::string &path)
+bool
+Tracer::open(const std::string &path, std::string *err)
 {
     auto &s = state();
     std::lock_guard<std::mutex> lock(s.mu);
     if (enabled())
         fatal("trace already open (%s)", s.path.c_str());
+    // As with jsonDir and cacheDir, a missing directory is created; a
+    // failure shows in the fopen below.
+    const std::filesystem::path dir =
+        std::filesystem::path(path).parent_path();
+    if (!dir.empty()) {
+        std::error_code ec;
+        std::filesystem::create_directories(dir, ec);
+    }
+    s.file = std::fopen(path.c_str(), "wb");
+    if (s.file == nullptr) {
+        if (err != nullptr)
+            *err = "cannot write trace file '" + path +
+                "': " + std::strerror(errno);
+        return false;
+    }
     s.path = path;
     s.startNs.store(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -127,6 +146,7 @@ Tracer::open(const std::string &path)
     for (ThreadBuf *buf : s.bufs)
         buf->events.clear();
     enabledFlag.store(true, std::memory_order_release);
+    return true;
 }
 
 bool
@@ -140,11 +160,8 @@ Tracer::close()
     // sweep barriers guarantee it), so no span is mid-flight.
     enabledFlag.store(false, std::memory_order_relaxed);
 
-    std::FILE *f = std::fopen(s.path.c_str(), "wb");
-    if (f == nullptr) {
-        warn("cannot write trace file %s", s.path.c_str());
-        return false;
-    }
+    std::FILE *f = s.file;
+    s.file = nullptr;
     std::fprintf(f, "[\n");
     std::fprintf(f,
                  "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
@@ -174,6 +191,8 @@ Tracer::close()
     }
     std::fprintf(f, "\n]\n");
     const bool ok = std::fclose(f) == 0;
+    if (!ok)
+        warn("cannot write trace file %s", s.path.c_str());
     for (ThreadBuf *buf : s.bufs)
         buf->events.clear();
     s.path.clear();

@@ -36,10 +36,13 @@ class Tracer
     }
 
     /**
-     * Start tracing into `path` (written at close()). Calling open
+     * Start tracing into `path`: create its directory when missing
+     * and open the file now, so a path that cannot be written fails
+     * before any traced work (false, with a message naming the path
+     * in `*err`). The events are written at close(). Calling open
      * while already open is a user error (fatal).
      */
-    static void open(const std::string &path);
+    static bool open(const std::string &path, std::string *err);
 
     /**
      * Stop tracing and write the JSON file. Returns false when the

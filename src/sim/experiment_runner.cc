@@ -128,13 +128,11 @@ ExperimentRunner::cacheKey(const SystemConfig &cfg,
 {
     std::string key;
     key.reserve(1024);
-    // SystemConfig: every keyed entry of its field list.
+    // SystemConfig: every entry of its field list.
     forEachField(cfg, [&key](const char *name, const auto &field,
-                             const FieldRule &rule) {
+                             const FieldRule &) {
         using T =
             std::remove_cv_t<std::remove_reference_t<decltype(field)>>;
-        if (rule.unkeyedReason != nullptr)
-            return;
         key += name;
         key += '=';
         if constexpr (std::is_same_v<T, std::string>)
@@ -191,63 +189,6 @@ ExperimentRunner::cacheStats() const
     return snapshot;
 }
 
-void
-ExperimentRunner::noteCell(std::uint64_t hash, CellAction action)
-{
-    std::lock_guard<std::mutex> lock(cacheMu);
-    auto [it, inserted] = cellActions.emplace(hash, action);
-    if (!inserted && static_cast<int>(action) >
-                         static_cast<int>(it->second)) {
-        it->second = action;
-    }
-}
-
-bool
-ExperimentRunner::writeShardManifest(const std::string &path) const
-{
-    static const char *const action_names[] = {"skipped", "memHit",
-                                               "storeHit",
-                                               "simulated"};
-    std::string doc;
-    {
-        std::lock_guard<std::mutex> lock(cacheMu);
-        appendF(doc,
-                "{\n  \"shard\": %d,\n  \"shards\": %d,\n"
-                "  \"codeVersion\": %s,\n  \"cells\": [\n",
-                opts.shardIndex, opts.shardCount,
-                resultStore != nullptr
-                    ? jsonString(resultStore->codeVersion()).c_str()
-                    : "\"\"");
-        // Emit cells in hash order: unordered_map iteration order
-        // would make the manifest differ run to run.
-        std::vector<std::pair<std::uint64_t, CellAction>> cells(
-            cellActions.begin(), cellActions.end());
-        std::sort(cells.begin(), cells.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.first < b.first;
-                  });
-        std::size_t i = 0;
-        for (const auto &[hash, action] : cells) {
-            appendF(doc,
-                    "    {\"hash\": \"%016llx\", \"owner\": %d, "
-                    "\"action\": \"%s\"}%s\n",
-                    static_cast<unsigned long long>(hash),
-                    static_cast<int>(hash %
-                                     static_cast<std::uint64_t>(
-                                         opts.shardCount)),
-                    action_names[static_cast<int>(action)],
-                    ++i < cells.size() ? "," : "");
-        }
-        doc += "  ]\n}\n";
-    }
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        return false;
-    const bool ok =
-        std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-    return std::fclose(f) == 0 && ok;
-}
-
 RunResult
 ExperimentRunner::runJob(const Job &job)
 {
@@ -256,99 +197,65 @@ ExperimentRunner::runJob(const Job &job)
          job.scheme.kind == SchemeKind::SNuca);
     const bool sharded = opts.shardCount > 1;
     std::string key;
-    std::uint64_t hash = 0;
     if (cacheable || sharded)
         key = cacheKey(job.cfg, job.scheme, job.mix);
-    if (sharded)
-        hash = resultStore->keyHash(key);
     if (cacheable) {
-        bool hit = false;
-        RunResult cached;
-        {
-            std::lock_guard<std::mutex> lock(cacheMu);
-            const auto it = cache.find(key);
-            if (it != cache.end()) {
-                stats.hits++;
-                hit = true;
-                cached = it->second;
-            } else {
-                stats.misses++;
-            }
+        std::lock_guard<std::mutex> lock(cacheMu);
+        const auto it = cache.find(key);
+        if (it != cache.end()) {
+            stats.hits++;
+            return it->second;
         }
-        if (hit) {
-            if (sharded)
-                noteCell(hash, CellAction::MemHit);
-            return cached;
-        }
+        stats.misses++;
     }
     // Persistent tier: another process (a previous invocation, a
     // sibling shard, a warm CI rerun) may already have this cell.
+    RunResult res;
+    bool stored = false;
     if (cacheable && resultStore != nullptr) {
-        RunResult stored;
-        bool found;
-        {
-            PhaseTimer timer(Phase::StoreIo);
-            found = resultStore->load(key, &stored);
-        }
-        if (found) {
-            {
-                std::lock_guard<std::mutex> lock(cacheMu);
-                if (cache.emplace(key, stored).second) {
-                    cacheFifo.push_back(key);
-                    while (cache.size() > opts.cacheBudget) {
-                        cache.erase(cacheFifo.front());
-                        cacheFifo.pop_front();
-                        stats.evictions++;
-                    }
-                }
-            }
-            if (sharded)
-                noteCell(hash, CellAction::StoreHit);
-            return stored;
-        }
+        PhaseTimer timer(Phase::StoreIo);
+        stored = resultStore->load(key, &res);
     }
-    // Shard partition: only the owning shard simulates a cell that
-    // no cache tier could serve. The zero result makes the shard's
-    // own stdout meaningless by design; `merge` re-reads the fully
-    // populated store to produce the real, byte-identical report.
-    if (sharded &&
-        hash % static_cast<std::uint64_t>(opts.shardCount) !=
-            static_cast<std::uint64_t>(opts.shardIndex)) {
-        noteCell(hash, CellAction::Skipped);
-        std::lock_guard<std::mutex> lock(cacheMu);
-        stats.shardSkipped++;
-        return RunResult{};
-    }
-    // One span per simulated job, on whichever worker ran it; cache
-    // hits deliberately emit nothing (near-zero duration, and the
-    // interesting question is where simulation time goes).
-    TraceSpan job_span(Tracer::enabled()
-                           ? job.scheme.name + " mix" +
-                               std::to_string(job.mix.seed)
-                           : std::string());
-    RunResult res = runScheme(job.cfg, job.scheme, job.mix);
-    if (cacheable) {
-        // Write-back to the persistent tier first: the in-memory
-        // insert below consumes `key`.
+    if (!stored) {
+        // Shard partition: only the owning shard simulates a cell
+        // that no cache tier could serve. The zero result makes the
+        // shard's own stdout meaningless by design; `merge` re-reads
+        // the fully populated store to produce the real,
+        // byte-identical report.
+        if (sharded &&
+            resultStore->keyHash(key) %
+                    static_cast<std::uint64_t>(opts.shardCount) !=
+                static_cast<std::uint64_t>(opts.shardIndex)) {
+            std::lock_guard<std::mutex> lock(cacheMu);
+            stats.shardSkipped++;
+            return RunResult{};
+        }
+        // One span per simulated job, on whichever worker ran it;
+        // cache hits deliberately emit nothing (near-zero duration,
+        // and the interesting question is where simulation time
+        // goes).
+        TraceSpan job_span(Tracer::enabled()
+                               ? job.scheme.name + " mix" +
+                                   std::to_string(job.mix.seed)
+                               : std::string());
+        res = runScheme(job.cfg, job.scheme, job.mix);
+        if (!cacheable)
+            return res;
         if (resultStore != nullptr) {
             PhaseTimer timer(Phase::StoreIo);
             resultStore->save(key, res);
         }
-        {
-            std::lock_guard<std::mutex> lock(cacheMu);
-            // Two workers can race to compute the same key; the first
-            // insert wins and the FIFO tracks only successful inserts.
-            if (cache.emplace(key, res).second) {
-                cacheFifo.push_back(std::move(key));
-                while (cache.size() > opts.cacheBudget) {
-                    cache.erase(cacheFifo.front());
-                    cacheFifo.pop_front();
-                    stats.evictions++;
-                }
-            }
+    }
+    std::lock_guard<std::mutex> lock(cacheMu);
+    // Two workers can race to compute the same key; the first insert
+    // wins and the FIFO tracks only successful inserts.
+    if (cache.emplace(key, res).second) {
+        cacheFifo.push_back(std::move(key));
+        while (cache.size() > opts.cacheBudget) {
+            cache.erase(cacheFifo.front());
+            cacheFifo.pop_front();
+            stats.evictions++;
         }
-        if (sharded)
-            noteCell(hash, CellAction::Simulated);
     }
     return res;
 }

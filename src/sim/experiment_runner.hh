@@ -19,7 +19,6 @@
 #include <array>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -79,12 +78,11 @@ class ExperimentRunner
         bool memoizeBaseline = true;
 
         /**
-         * Opt-in general (cfg, scheme, mix) result cache: any
-         * identical run repeated within the runner's lifetime (the
-         * same study run twice, lineups sharing runs under one
-         * config) is served from the cache, not just S-NUCA
-         * baselines. Studies with disjoint seeds/configs get no
-         * reuse — the footer's hit counter shows what it bought.
+         * General (cfg, scheme, mix) result cache: any identical run
+         * repeated within the runner's lifetime (the same study run
+         * twice, lineups sharing runs under one config) is served
+         * from the cache, not just S-NUCA baselines. Off by default;
+         * `cdcs_studies` always turns it on (runnerOptions).
          */
         bool cacheResults = false;
 
@@ -184,15 +182,6 @@ class ExperimentRunner
     /** The persistent store, or nullptr when the tier is off. */
     const ResultStore *store() const { return resultStore.get(); }
 
-    /**
-     * Write the shard manifest (JSON) for a sharded invocation:
-     * every cacheable cell this runner saw, with its content hash,
-     * owning shard and how it was resolved ("simulated", "storeHit",
-     * "memHit" or "skipped"). tools/merge_study_json.py checks a
-     * shard set's manifests for completeness and disjointness.
-     */
-    bool writeShardManifest(const std::string &path) const;
-
   private:
     /**
      * Exact-match memo key: a full serialization of everything that
@@ -203,18 +192,6 @@ class ExperimentRunner
                                 const MixSpec &mix);
 
     RunResult runJob(const Job &job);
-
-    /** How a sharded runner resolved a cell (manifest categories). */
-    enum class CellAction : int
-    {
-        Skipped = 0,
-        MemHit,
-        StoreHit,
-        Simulated
-    };
-
-    /** Record the strongest action seen for a cell (sharded only). */
-    void noteCell(std::uint64_t hash, CellAction action);
 
     Options opts;
     WorkStealingPool pool;
@@ -228,8 +205,6 @@ class ExperimentRunner
     std::unordered_map<std::string, RunResult> cache;
     std::deque<std::string> cacheFifo;
     CacheStats stats;
-    /** Per-cell manifest state, hash-sorted (sharded runs only). */
-    std::map<std::uint64_t, CellAction> cellActions;
 };
 
 } // namespace cdcs

@@ -6,7 +6,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <string_view>
 #include <type_traits>
+
+#include <unistd.h>
 
 #include "cache/cache_array.hh"
 #include "workload/traffic.hh"
@@ -132,32 +135,30 @@ valueProblem(const std::string &text, const FieldRule &rule)
 /**
  * One study knob: read by runStudy, runnerOptions and the study
  * bodies through knob()/strKnob(), never stored in SystemConfig, so
- * its rule says why the result-cache key may leave it out.
+ * the result-cache key never sees it; `reason` says why it need not.
  */
 struct Knob
 {
     const char *name;
     const char *type; ///< "uint", "bool" or "string".
     FieldRule rule;
+    const char *reason;
 };
 
 using R = FieldRule;
 
 const Knob knobs[] = {
-    {"mixes", "uint", R().unkeyed("each run keys its own MixSpec")},
+    {"mixes", "uint", R(), "each run keys its own MixSpec"},
     // Each worker is an OS thread: 1024 is past any host's cores and
     // keeps a typo from asking for millions of threads.
-    {"workers", "uint", R().atMost(1024).unkeyed("parallelism only")},
-    {"apps", "uint", R().unkeyed("the mix size; MixSpec is keyed")},
-    {"saIters", "uint", R().unkeyed("copied into keyed saIterations")},
-    {"table3Iters", "uint", R().unkeyed("repeats wall-clock timing")},
-    {"cache", "bool", R().unkeyed("cached runs equal fresh ones")},
-    {"cacheBudget", "uint", R().unkeyed("bounds the cache, not a run")},
-    {"cacheDir", "string", R().unkeyed("where the result store lives")},
-    {"cacheStats", "bool", R().unkeyed("reporting-only: footers")},
-    {"timing", "bool", R().unkeyed("reporting-only: timing footer")},
-    {"trace", "string", R().unkeyed("reporting-only: trace file")},
-    {"jsonDir", "string", R().unkeyed("reporting-only: artifact dir")},
+    {"workers", "uint", R().atMost(1024), "parallelism only"},
+    {"apps", "uint", R(), "the mix size; MixSpec is keyed"},
+    {"saIters", "uint", R(), "copied into keyed saIterations"},
+    {"table3Iters", "uint", R(), "repeats wall-clock timing"},
+    {"cacheDir", "string", R(), "where the result store lives"},
+    {"timing", "bool", R(), "reporting-only: timing footer"},
+    {"trace", "string", R(), "reporting-only: trace file"},
+    {"jsonDir", "string", R(), "reporting-only: artifact dir"},
 };
 
 /** The CDCS_* environment variables and the keys they set. */
@@ -168,10 +169,7 @@ const std::pair<const char *, const char *> envAliasTable[] = {
     {"CDCS_WARMUP", "warmup"},
     {"CDCS_WORKERS", "workers"},
     {"CDCS_JSON_DIR", "jsonDir"},
-    {"CDCS_CACHE", "cache"},
-    {"CDCS_CACHE_BUDGET", "cacheBudget"},
     {"CDCS_CACHE_DIR", "cacheDir"},
-    {"CDCS_CACHE_STATS", "cacheStats"},
     {"CDCS_TIMING", "timing"},
     {"CDCS_TRACE", "trace"},
     {"CDCS_TRACE_BIN", "traceBinCycles"},
@@ -264,6 +262,25 @@ Overrides::add(const std::string &kv, std::string *err)
 bool
 Overrides::addEnvironment(std::string *err)
 {
+    // A set CDCS_* variable that no alias names (a typo, or a knob
+    // that no longer exists) is refused like an unknown --set key.
+    for (char **var = environ; *var != nullptr; var++) {
+        const std::string_view entry(*var);
+        const std::string_view name = entry.substr(0, entry.find('='));
+        const bool empty = name.size() + 1 >= entry.size();
+        if (name.rfind("CDCS_", 0) != 0 || empty)
+            continue;
+        if (std::none_of(std::begin(envAliasTable),
+                         std::end(envAliasTable),
+                         [name](const auto &alias) {
+                             return name == alias.first;
+                         })) {
+            if (err != nullptr)
+                *err = "unknown environment variable '" +
+                    std::string(name) + "'";
+            return false;
+        }
+    }
     for (const auto &[var, key] : envAliasTable) {
         const char *value = std::getenv(var);
         if (value == nullptr || *value == '\0')

@@ -38,7 +38,8 @@ class Overrides
      * Read every set CDCS_* variable of envAliases() as an entry of
      * its key, checked like add() and ranked below every `--set`
      * entry whenever either is added. Returns false with a message
-     * naming the variable on the first bad value.
+     * naming the variable on the first bad value, or on a set CDCS_*
+     * variable that names no key.
      */
     bool addEnvironment(std::string *err);
 

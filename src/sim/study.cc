@@ -73,21 +73,58 @@ StudyRegistrar::StudyRegistrar(StudySpec spec)
 }
 
 ExperimentRunner::Options
-runnerOptions(const Overrides &overrides, bool default_cache)
+runnerOptions(const Overrides &overrides)
 {
     ExperimentRunner::Options opts;
     opts.workers = static_cast<unsigned>(overrides.knob("workers", 0));
+    opts.cacheResults = true;
     opts.cacheDir = overrides.strKnob("cacheDir", "");
-    // A persistent store is only useful when runs go through the
-    // cache, so cacheDir= implies cache=1 (an explicit --set cache=0
-    // still wins).
-    opts.cacheResults =
-        overrides.knob("cache", default_cache || !opts.cacheDir.empty()
-                                    ? 1 : 0) != 0;
-    opts.cacheBudget =
-        static_cast<std::size_t>(overrides.knob("cacheBudget", 1024));
     return opts;
 }
+
+namespace
+{
+
+/**
+ * One study's result-cache and result-store counters (the deltas
+ * from `before`: the runner serves every study of an invocation), on
+ * stderr so stdout is the same report whichever tier served a run.
+ * Each line appears only when its tier did something.
+ */
+void
+printCacheFooters(const ExperimentRunner::CacheStats &before,
+                  const ExperimentRunner::CacheStats &now)
+{
+    const auto delta = [](std::uint64_t later, std::uint64_t earlier) {
+        return static_cast<unsigned long long>(later - earlier);
+    };
+    if (now.hits > before.hits) {
+        std::fprintf(stderr,
+                     "[cache: %llu hits, %llu misses, %llu evictions, "
+                     "%llu entries]\n",
+                     delta(now.hits, before.hits),
+                     delta(now.misses, before.misses),
+                     delta(now.evictions, before.evictions),
+                     static_cast<unsigned long long>(now.entries));
+    }
+    const unsigned long long hits = delta(now.storeHits, before.storeHits);
+    const unsigned long long misses =
+        delta(now.storeMisses, before.storeMisses);
+    const unsigned long long evictions =
+        delta(now.storeEvictions, before.storeEvictions);
+    const unsigned long long corrupt =
+        delta(now.storeCorrupt, before.storeCorrupt);
+    const unsigned long long skipped =
+        delta(now.shardSkipped, before.shardSkipped);
+    if (now.persistent && hits + misses + evictions + corrupt + skipped > 0) {
+        std::fprintf(stderr,
+                     "[store: %llu hits, %llu misses, %llu evictions, "
+                     "%llu corrupt, %llu skipped]\n",
+                     hits, misses, evictions, corrupt, skipped);
+    }
+}
+
+} // anonymous namespace
 
 int
 runStudy(const StudySpec &spec, const Overrides &overrides,
@@ -119,55 +156,7 @@ runStudy(const StudySpec &spec, const Overrides &overrides,
     if (Tracer::enabled())
         Tracer::instant("study " + spec.name);
     spec.run(ctx);
-    if (runner.options().cacheResults) {
-        // The runner (and cache) is shared across the studies of one
-        // invocation; report this study's delta, not the lifetime
-        // totals. A study that got no hits stays silent, so the
-        // cache-by-default for repeated-lineup studies cannot change
-        // default text output.
-        const ExperimentRunner::CacheStats now = runner.cacheStats();
-        if (now.hits > before.hits) {
-            sink.printf(
-                "[cache: %llu hits, %llu misses, %llu "
-                "evictions, %llu entries]\n",
-                static_cast<unsigned long long>(now.hits -
-                                                before.hits),
-                static_cast<unsigned long long>(now.misses -
-                                                before.misses),
-                static_cast<unsigned long long>(now.evictions -
-                                                before.evictions),
-                static_cast<unsigned long long>(now.entries));
-        }
-    }
-    {
-        // Persistent-tier footer: only ever printed when a store is
-        // attached (cacheDir is set, a non-default knob), so default
-        // text output stays byte-identical; `--set cacheStats=0`
-        // silences it for byte-diff runs that do use a store.
-        const ExperimentRunner::CacheStats now = runner.cacheStats();
-        const std::uint64_t delta =
-            (now.storeHits - before.storeHits) +
-            (now.storeMisses - before.storeMisses) +
-            (now.storeEvictions - before.storeEvictions) +
-            (now.storeCorrupt - before.storeCorrupt) +
-            (now.shardSkipped - before.shardSkipped);
-        if (now.persistent && delta > 0 &&
-            overrides.knob("cacheStats", 1) != 0) {
-            sink.printf(
-                "[store: %llu hits, %llu misses, %llu evictions, "
-                "%llu corrupt, %llu skipped]\n",
-                static_cast<unsigned long long>(now.storeHits -
-                                                before.storeHits),
-                static_cast<unsigned long long>(now.storeMisses -
-                                                before.storeMisses),
-                static_cast<unsigned long long>(
-                    now.storeEvictions - before.storeEvictions),
-                static_cast<unsigned long long>(now.storeCorrupt -
-                                                before.storeCorrupt),
-                static_cast<unsigned long long>(now.shardSkipped -
-                                                before.shardSkipped));
-        }
-    }
+    printCacheFooters(before, runner.cacheStats());
     if (timing_on) {
         const std::chrono::duration<double> wall = // lint:allow(wallclock)
             std::chrono::steady_clock::now() - wall_before;
@@ -214,13 +203,13 @@ usage(std::FILE *out)
         "      legacy bench harnesses under default knobs.\n"
         "      --shard i/N simulates only the cells whose content\n"
         "      hash maps to shard i (requires cacheDir; the shard's\n"
-        "      own report is partial — use merge) and writes\n"
-        "      <cacheDir>/shard-<i>of<N>.json\n"
+        "      own report is partial — use merge)\n"
         "  merge <study>...|all [--set key=value]... "
         "[--format=text|json|csv]\n"
         "      recombine sharded runs: replay the studies from the\n"
         "      populated result store (requires cacheDir); output is\n"
-        "      byte-identical to an unsharded run\n"
+        "      byte-identical to an unsharded run, and the exit\n"
+        "      status is 1 when any cell was missing from the store\n"
         "\n"
         "overrides (--set, also settable via CDCS_* env knobs):\n");
     for (const auto &[key, type] : Overrides::knownKeys())
@@ -396,25 +385,12 @@ studiesCliMain(int argc, char **argv)
         return 2;
     }
 
-    // Repeated-lineup studies opt the shared runner into the result
-    // cache unless the user said otherwise.
-    bool any_repeated = false;
-    for (const StudySpec *spec : specs)
-        any_repeated = any_repeated || spec->repeatedLineup;
-    ExperimentRunner::Options ropts =
-        runnerOptions(overrides, any_repeated);
+    ExperimentRunner::Options ropts = runnerOptions(overrides);
     if (sharded || merge) {
         if (ropts.cacheDir.empty()) {
             std::fprintf(stderr,
                          "%s requires a result store: --set "
                          "cacheDir=DIR (or CDCS_CACHE_DIR)\n",
-                         merge ? "merge" : "--shard");
-            return 2;
-        }
-        if (!ropts.cacheResults) {
-            std::fprintf(stderr,
-                         "%s requires the result cache (remove "
-                         "cache=0)\n",
                          merge ? "merge" : "--shard");
             return 2;
         }
@@ -431,32 +407,34 @@ studiesCliMain(int argc, char **argv)
             ropts.shardCount = shard_count;
         }
     }
-    ExperimentRunner runner(ropts);
+    // One trace file per invocation, covering every study run; a
+    // path that cannot be written stops here, before any run.
     const std::string trace_path = overrides.strKnob("trace", "");
-    if (!trace_path.empty())
-        Tracer::open(trace_path);
+    if (std::string err;
+        !trace_path.empty() && !Tracer::open(trace_path, &err)) {
+        std::fprintf(stderr, "%s\n", err.c_str());
+        return 2;
+    }
+    ExperimentRunner runner(ropts);
     int rc = 0;
     for (const StudySpec *spec : specs)
         rc |= runStudy(*spec, overrides, runner, *sink);
     sink->finish();
     if (sink->artifactWriteFailed())
         rc |= 1;
-    // One trace file per invocation, covering every study run.
     if (!Tracer::close())
         rc |= 1;
-    if (sharded) {
-        char suffix[64];
-        std::snprintf(suffix, sizeof(suffix),
-                      "/shard-%dof%d.json", shard_index,
-                      shard_count);
-        const std::string manifest = ropts.cacheDir + suffix;
-        if (runner.writeShardManifest(manifest)) {
-            std::fprintf(stderr, "[shard %d/%d: manifest %s]\n",
-                         shard_index, shard_count,
-                         manifest.c_str());
-        } else {
-            std::fprintf(stderr, "failed to write %s\n",
-                         manifest.c_str());
+    if (merge) {
+        // A cell the store could not serve was simulated here, so the
+        // report is still right, but the shard set was incomplete.
+        const ExperimentRunner::CacheStats done = runner.cacheStats();
+        const unsigned long long absent = done.storeMisses;
+        const unsigned long long corrupt = done.storeCorrupt;
+        if (absent + corrupt > 0) {
+            std::fprintf(stderr,
+                         "merge: %llu cells missed the store (%llu "
+                         "absent, %llu corrupt) and were simulated\n",
+                         absent + corrupt, absent, corrupt);
             rc |= 1;
         }
     }

@@ -44,15 +44,6 @@ struct StudySpec
     /** CDCS_MIXES / `--set mixes=` fallback. */
     int defaultMixes = 4;
     /**
-     * Declares that the study re-runs its lineup several times
-     * (derived variants, scaling loops), so identical (cfg, scheme,
-     * mix) runs can recur within one invocation. Such studies get
-     * the general result cache enabled by default (`--set cache=0`
-     * still wins); the cache footer is only printed when hits
-     * actually occur, so default text output is unchanged.
-     */
-    bool repeatedLineup = false;
-    /**
      * The registered base schemes the study builds from, by
      * SchemeRegistry name (what ctx.lineup() resolves). Bodies may
      * derive further variants (fig17's move schemes, vic_monitors'
@@ -125,19 +116,17 @@ struct StudyRegistrar
 };
 
 /**
- * Runner options resolved from the overrides: workers, result-cache
- * opt-in (`--set cache=1` / CDCS_CACHE) and budget. `default_cache`
- * is the fallback when neither `--set cache` nor CDCS_CACHE is given
- * (true when any study of the batch declares a repeated lineup).
+ * Runner options resolved from the overrides: `workers=` and
+ * `cacheDir=`, with the in-memory result cache always on.
  */
-ExperimentRunner::Options
-runnerOptions(const Overrides &overrides, bool default_cache = false);
+ExperimentRunner::Options runnerOptions(const Overrides &overrides);
 
 /**
  * Run one study: resolve its config (defaults < the overrides'
  * environment entries < spec.configure < their `--set` entries) and
- * mix count, run the body, and emit the cache footer when the result
- * cache is enabled. Returns 0 on success.
+ * mix count, run the body, and print the study's result-cache and
+ * result-store counters to stderr when they moved. Returns 0 on
+ * success.
  */
 int runStudy(const StudySpec &spec, const Overrides &overrides,
              ExperimentRunner &runner, ReportSink &sink);

@@ -219,9 +219,10 @@ struct SystemConfig
     }
 
     // ---- Observability (src/obs/). Stats never affect simulated
-    // results, so these knobs stay out of the runner cache key (their
-    // forEachField entries say why) and default off (the golden case
-    // noc_sensitivity_obs_off pins the default output).
+    // results, but a RunResult carries the metrics trace they select,
+    // so they key the result cache like every other field. They
+    // default off (the golden case noc_sensitivity_obs_off pins the
+    // default output).
 
     /**
      * StatRegistry selection recorded per epoch into the metrics
@@ -271,11 +272,11 @@ struct SystemConfig
 };
 
 /**
- * What `--set` and the result-cache key do with one SystemConfig
- * field (see forEachField). A numeric value must lie in [min, max]
- * (an open end excludes the bound itself); the default rule accepts
- * any non-negative value. Each setter returns the changed rule, so
- * they chain: `FieldRule().above(0).atMost(1024)`.
+ * What `--set` accepts for one SystemConfig field (see forEachField).
+ * A numeric value must lie in [min, max] (an open end excludes the
+ * bound itself); the default rule accepts any non-negative value.
+ * Each setter returns the changed rule, so they chain:
+ * `FieldRule().above(0).atMost(1024)`.
  */
 struct FieldRule
 {
@@ -291,8 +292,6 @@ struct FieldRule
     const char *choices = nullptr;
     /** False for a field only code sets (no `--set` key reaches it). */
     bool settable = true;
-    /** Why the result-cache key may leave the field out; null = keyed. */
-    const char *unkeyedReason = nullptr;
 
     constexpr FieldRule atLeast(double v) { min = v; return *this; }
     constexpr FieldRule above(double v) { openMin = true; return atLeast(v); }
@@ -300,12 +299,6 @@ struct FieldRule
     constexpr FieldRule below(double v) { openMax = true; return atMost(v); }
     constexpr FieldRule oneOf(const char *n) { choices = n; return *this; }
     constexpr FieldRule notSettable() { settable = false; return *this; }
-    constexpr FieldRule
-    unkeyed(const char *reason)
-    {
-        unkeyedReason = reason;
-        return *this;
-    }
 };
 
 /**
@@ -313,7 +306,7 @@ struct FieldRule
  * where `key` is the field's `--set` name. `Config` is SystemConfig or
  * const SystemConfig. Overrides parses and applies `--set` and CDCS_*
  * values through this list, and ExperimentRunner::cacheKey keys every
- * entry without an unkeyed() reason, so a new field is one line here
+ * entry, so a new field is one line here
  * plus its EXPERIMENTS.md row. tools/lint/cache_key_lint.py checks
  * that the list binds every member exactly once.
  */
@@ -373,12 +366,8 @@ forEachField(Config &c, Visit &&visit)
     visit("traceIpc", c.traceIpc, R());
     visit("traceBinCycles", c.traceBinCycles, R().atLeast(1));
     visit("seed", c.seed, R());
-    visit("stats", c.statsFilter,
-          R().unkeyed("reporting-only: picks the counters the metrics "
-                      "trace records; the simulation never reads it"));
-    visit("statsEvery", c.statsEvery,
-          R().atLeast(1).unkeyed("reporting-only: the metrics trace's "
-                                 "recording cadence"));
+    visit("stats", c.statsFilter, R());
+    visit("statsEvery", c.statsEvery, R().atLeast(1));
     // Lines: the runtime truncates it to a whole line count, and 2^32
     // lines (256 GB) exceeds any LLC the tag store can hold.
     visit("allocGranuleLines", c.allocGranuleLines,

@@ -2,15 +2,18 @@
  * @file
  * Tests for the striped parallel-for pool: exactly-once delivery at
  * 1 and 4 workers, serial == parallel results, inline nested run(),
- * cross-stripe stealing when one index blocks, and a dense stress of
- * uneven batches (the TSan CI job runs this file).
+ * cross-stripe stealing when one index blocks, idle time that
+ * includes the batch tail, and a dense stress of uneven batches (the
+ * TSan CI job runs this file).
  */
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -90,6 +93,22 @@ TEST(TaskPoolTest, BlockedIndexLeavesItsStripeToOtherWorkers)
     });
     EXPECT_EQ(others_done, n - 1);
     EXPECT_GT(pool.stealCount(), 0u);
+}
+
+TEST(TaskPoolTest, IdleTimeIncludesTheBatchTail)
+{
+    WorkStealingPool pool(4);
+    // Warm-up: every worker has started and parked once.
+    pool.run(4, [](std::size_t) {});
+    const std::uint64_t before = pool.idleNanos();
+    // One index sleeps ~50 ms while the other three workers run out
+    // of work and park: ~150 ms of tail idle inside this batch.
+    pool.run(4, [](std::size_t i) {
+        if (i == 0)
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    });
+    const std::uint64_t idle = pool.idleNanos() - before;
+    EXPECT_GE(idle, 100'000'000u) << idle << " ns";
 }
 
 TEST(TaskPoolTest, StressFourWorkersTwentyThousandTasks)

@@ -3,10 +3,12 @@
  * Tests for the Chrome-trace execution tracer behind `--set trace=`:
  * hooks are inert while closed, an open/span/instant/close cycle
  * writes parseable JSON with balanced B/E pairs and thread-name
- * metadata, and close() reports file-write failure.
+ * metadata, and open() creates a missing directory and refuses a
+ * path that cannot be written.
  */
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -54,7 +56,7 @@ TEST(TracerTest, InertWhileClosed)
 TEST(TracerTest, WritesBalancedChromeTraceJson)
 {
     const std::string path = ::testing::TempDir() + "trace_test.json";
-    Tracer::open(path);
+    ASSERT_TRUE(Tracer::open(path, nullptr));
     ASSERT_TRUE(Tracer::enabled());
     Tracer::nameThread("test-main");
     {
@@ -81,12 +83,31 @@ TEST(TracerTest, WritesBalancedChromeTraceJson)
     std::remove(path.c_str());
 }
 
-TEST(TracerTest, CloseReportsUnwritablePath)
+TEST(TracerTest, OpenCreatesAMissingDirectory)
 {
-    Tracer::open("/nonexistent-dir/trace.json");
+    const std::string dir = ::testing::TempDir() + "trace_new_dir";
+    std::filesystem::remove_all(dir);
+    const std::string path = dir + "/nested/trace.json";
+    std::string err;
+    ASSERT_TRUE(Tracer::open(path, &err)) << err;
     Tracer::instant("x");
-    EXPECT_FALSE(Tracer::close());
+    EXPECT_TRUE(Tracer::close());
+    EXPECT_EQ(slurp(path).front(), '[');
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TracerTest, OpenRefusesAnUnwritablePath)
+{
+    // A directory under a regular file cannot be made, even by root.
+    const std::string file = ::testing::TempDir() + "trace_file";
+    std::ofstream(file) << "not a directory\n";
+    const std::string path = file + "/sub/trace.json";
+    std::string err;
+    EXPECT_FALSE(Tracer::open(path, &err));
+    EXPECT_NE(err.find(path), std::string::npos) << err;
     EXPECT_FALSE(Tracer::enabled());
+    EXPECT_TRUE(Tracer::close()); // Never opened: nothing to write.
+    std::filesystem::remove(file);
 }
 
 } // anonymous namespace

@@ -59,7 +59,7 @@ TEST(DocSyncTest, EveryEnvAliasDocumentedOnItsKeysRow)
     ASSERT_FALSE(doc.empty());
     const auto keys = Overrides::knownKeys();
     const auto aliases = Overrides::envAliases();
-    EXPECT_EQ(aliases.size(), 16u);
+    EXPECT_EQ(aliases.size(), 13u);
     for (const auto &[var, key] : aliases) {
         EXPECT_EQ(var.rfind("CDCS_", 0), 0u) << var;
         EXPECT_NE(std::find_if(keys.begin(), keys.end(),

@@ -341,16 +341,34 @@ TEST(OverridesTest, EnvironmentValuesAreCheckedLikeSet)
     EXPECT_NE(env_error("CDCS_WORKERS", "5000").find("(maximum 1024)"),
               std::string::npos);
     env_error("CDCS_EPOCH_ACCESSES", " 5");
-    env_error("CDCS_CACHE", "maybe");
+    env_error("CDCS_TIMING", "maybe");
     env_error("CDCS_TRACE_BIN", "0");
+}
+
+TEST(OverridesTest, UnknownEnvironmentVariablesAreRefused)
+{
+    // A CDCS_* variable that names no key is an error, like an
+    // unknown --set key; an empty one counts as unset.
+    for (const char *var : {"CDCS_CACHE_STATS", "CDCS_EPOCH"}) {
+        const ScopedEnv env({{var, "0"}});
+        Overrides ov;
+        std::string err;
+        EXPECT_FALSE(ov.addEnvironment(&err)) << var;
+        EXPECT_EQ(err, std::string("unknown environment variable '") +
+                           var + "'");
+    }
+    const ScopedEnv env({{"CDCS_CACHE", ""}});
+    Overrides ov;
+    std::string err;
+    EXPECT_TRUE(ov.addEnvironment(&err)) << err;
 }
 
 TEST(OverridesTest, BoolKnobAcceptsWordForms)
 {
     Overrides ov;
     std::string err;
-    ASSERT_TRUE(ov.add("cache=true", &err)) << err;
-    EXPECT_EQ(ov.knob("cache", 0), 1u);
+    ASSERT_TRUE(ov.add("timing=true", &err)) << err;
+    EXPECT_EQ(ov.knob("timing", 0), 1u);
 }
 
 TEST(OverridesTest, ModelNameListsMatchPlatform)
@@ -442,7 +460,12 @@ TEST(OverridesTest, KnownKeysCoverConfigAndKnobs)
     EXPECT_TRUE(has("epochAccesses"));
     EXPECT_TRUE(has("mixes"));
     EXPECT_TRUE(has("jsonDir"));
-    EXPECT_TRUE(has("cacheBudget"));
+    EXPECT_TRUE(has("cacheDir"));
+    // The result cache is always on: it has no switch, budget or
+    // footer knob.
+    EXPECT_FALSE(has("cache"));
+    EXPECT_FALSE(has("cacheBudget"));
+    EXPECT_FALSE(has("cacheStats"));
 }
 
 } // anonymous namespace

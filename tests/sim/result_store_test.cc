@@ -421,10 +421,6 @@ TEST(ShardedRunnerTest, ShardsPartitionCellsAndMergeMatchesUnsharded)
         (st0.storeMisses - st0.shardSkipped) + st1.storeMisses;
     EXPECT_EQ(simulated, cells);
 
-    // Both shards publish manifests for the artifact-level checker.
-    ASSERT_TRUE(s0.writeShardManifest(dir + "/shard-0of2.json"));
-    ASSERT_TRUE(s1.writeShardManifest(dir + "/shard-1of2.json"));
-
     // Merge: a warm unsharded runner over the combined store must
     // reproduce the unsharded sweep bit for bit without simulating.
     ExperimentRunner merged(storeOptions(dir));

@@ -8,9 +8,11 @@
  * pure function of the config.
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -228,11 +230,11 @@ runCli(std::vector<std::string> args)
     return studiesCliMain(static_cast<int>(argv.size()), argv.data());
 }
 
-/** `run fig14` at tiny knobs (one worker), plus `extra` arguments. */
-int
-runTinyFig14(std::vector<std::string> extra)
+/** `<cmd> fig14` at tiny knobs (one worker), plus `extra` arguments. */
+std::vector<std::string>
+tinyFig14(const char *cmd, const std::vector<std::string> &extra)
 {
-    std::vector<std::string> args = {"cdcs_studies", "run", "fig14"};
+    std::vector<std::string> args = {"cdcs_studies", cmd, "fig14"};
     for (const char *kv :
          {"epochAccesses=600", "epochs=2", "warmup=1", "mixes=1",
           "chunkAccesses=1000", "workers=1"}) {
@@ -240,7 +242,68 @@ runTinyFig14(std::vector<std::string> extra)
         args.push_back(kv);
     }
     args.insert(args.end(), extra.begin(), extra.end());
-    return runCli(std::move(args));
+    return args;
+}
+
+int
+runTinyFig14(const std::vector<std::string> &extra)
+{
+    return runCli(tinyFig14("run", extra));
+}
+
+/** One CLI invocation's exit status, stdout and stderr. */
+struct CliRun
+{
+    int status = -1;
+    std::string out;
+    std::string err;
+};
+
+CliRun
+captureCli(std::vector<std::string> args)
+{
+    ::testing::internal::CaptureStdout();
+    ::testing::internal::CaptureStderr();
+    CliRun run;
+    run.status = runCli(std::move(args));
+    run.err = ::testing::internal::GetCapturedStderr();
+    run.out = ::testing::internal::GetCapturedStdout();
+    return run;
+}
+
+/** A fresh (absent) path under the test temp dir. */
+std::string
+freshPath(const std::string &name)
+{
+    const std::string path = ::testing::TempDir() + name;
+    std::filesystem::remove_all(path);
+    return path;
+}
+
+/** File name -> contents of every file in `dir`. */
+std::map<std::string, std::string>
+filesIn(const std::string &dir)
+{
+    std::map<std::string, std::string> files;
+    if (!std::filesystem::is_directory(dir))
+        return files;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        std::ifstream in(entry.path());
+        files[entry.path().filename().string()] = std::string(
+            std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>());
+    }
+    return files;
+}
+
+/** The number after `label` in `text` (0 when absent). */
+unsigned long long
+countAfter(const std::string &text, const std::string &label)
+{
+    const std::size_t at = text.find(label);
+    return at == std::string::npos
+        ? 0
+        : std::strtoull(text.c_str() + at + label.size(), nullptr, 10);
 }
 
 /** A fresh regular file under the test temp dir. */
@@ -317,6 +380,126 @@ TEST(StudyCliTest, UnopenableStoreExitsTwoBeforeAnyRun)
     std::filesystem::remove(file);
 }
 
+TEST(StudyCliTest, RemovedCacheKnobsAreUnknown)
+{
+    EXPECT_EQ(runTinyFig14({"--set", "cache=1"}), 2);
+    EXPECT_EQ(runTinyFig14({"--set", "cacheStats=0"}), 2);
+    EXPECT_EQ(runTinyFig14({"--set", "cacheBudget=8"}), 2);
+    ::setenv("CDCS_CACHE_STATS", "0", 1);
+    EXPECT_EQ(runTinyFig14({}), 2);
+    ::unsetenv("CDCS_CACHE_STATS");
+}
+
+TEST(StudyCliTest, UnwritableTracePathExitsTwoBeforeAnyRun)
+{
+    const std::string file = regularFile("cli_trace_file");
+    const std::string path = file + "/sub/trace.json";
+    const CliRun run =
+        captureCli(tinyFig14("run", {"--set", "trace=" + path}));
+    EXPECT_EQ(run.status, 2);
+    EXPECT_NE(run.err.find(path), std::string::npos) << run.err;
+    EXPECT_EQ(run.out, ""); // Not even the study header.
+    std::filesystem::remove(file);
+}
+
+/**
+ * Fill a fresh store with `fill`, then rerun with `rerun` against it:
+ * the rerun must print the storeless run's stdout and write exactly
+ * its jsonDir files, `traces` of them metrics traces.
+ */
+void
+expectStoreRerunMatchesStorelessRun(
+    const std::string &tag, const std::vector<std::string> &fill,
+    const std::vector<std::string> &rerun, std::size_t traces)
+{
+    const std::string store = freshPath(tag + "_store");
+    // The text report names jsonDir, so both runs use the same one.
+    const std::string json = freshPath(tag + "_json");
+    std::vector<std::string> plain = rerun;
+    plain.insert(plain.end(), {"--set", "jsonDir=" + json});
+    const CliRun ref = captureCli(tinyFig14("run", plain));
+    ASSERT_EQ(ref.status, 0) << ref.err;
+    const auto want = filesIn(json);
+    ASSERT_FALSE(want.empty());
+    EXPECT_EQ(std::count_if(want.begin(), want.end(),
+                            [](const auto &file) {
+                                return file.first.rfind(
+                                           "metrics_trace_", 0) == 0;
+                            }),
+              static_cast<std::ptrdiff_t>(traces));
+    std::filesystem::remove_all(json);
+
+    std::vector<std::string> filling = fill;
+    filling.insert(filling.end(), {"--set", "cacheDir=" + store});
+    ASSERT_EQ(captureCli(tinyFig14("run", filling)).status, 0);
+
+    std::vector<std::string> warm = plain;
+    warm.insert(warm.end(), {"--set", "cacheDir=" + store});
+    const CliRun got = captureCli(tinyFig14("run", warm));
+    EXPECT_EQ(got.status, 0) << got.err;
+    EXPECT_NE(got.err.find("[store: "), std::string::npos) << got.err;
+    EXPECT_EQ(got.out, ref.out);
+    EXPECT_EQ(filesIn(json), want);
+    std::filesystem::remove_all(json);
+    std::filesystem::remove_all(store);
+}
+
+TEST(StudyCliTest, StoreFilledWithoutStatsServesNoStatsRun)
+{
+    // `stats` keys the cache: a stats=1 rerun must not be served the
+    // trace-less results of a plain run, and exports every trace.
+    expectStoreRerunMatchesStorelessRun("cli_store_plain", {},
+                                        {"--set", "stats=1"}, 5);
+}
+
+TEST(StudyCliTest, StoreFilledUnderStatsServesNoPlainRun)
+{
+    // ...and a plain rerun is not served results carrying traces.
+    expectStoreRerunMatchesStorelessRun("cli_store_stats",
+                                        {"--set", "stats=1"}, {}, 0);
+}
+
+TEST(StudyCliTest, MergeChecksTheStoreItFinds)
+{
+    const CliRun ref = captureCli(tinyFig14("run", {}));
+    ASSERT_EQ(ref.status, 0) << ref.err;
+    const std::string store = freshPath("cli_merge_store");
+    const auto in_store = [&store](const char *cmd,
+                                   std::vector<std::string> extra) {
+        extra.insert(extra.end(), {"--set", "cacheDir=" + store});
+        return captureCli(tinyFig14(cmd, extra));
+    };
+    // The skipped count of a shard's `[store:` footer.
+    const auto skipped = [](const CliRun &run) {
+        return countAfter(run.err, "corrupt, ");
+    };
+
+    // One shard alone: merge simulates the other shard's cells, says
+    // how many on stderr, and exits 1. Which cells a shard owns
+    // depends on the build's hash salt, so use a shard that left some.
+    CliRun first = in_store("run", {"--shard", "0/2"});
+    if (skipped(first) == 0) {
+        std::filesystem::remove_all(store);
+        first = in_store("run", {"--shard", "1/2"});
+    }
+    ASSERT_EQ(first.status, 0) << first.err;
+    ASSERT_GT(skipped(first), 0u) << first.err;
+    const CliRun partial = in_store("merge", {});
+    EXPECT_EQ(partial.status, 1);
+    EXPECT_EQ(countAfter(partial.err, "merge: "), skipped(first))
+        << partial.err;
+    EXPECT_EQ(partial.out, ref.out);
+
+    // Both shards: merge serves every cell from the store.
+    std::filesystem::remove_all(store);
+    ASSERT_EQ(in_store("run", {"--shard", "0/2"}).status, 0);
+    ASSERT_EQ(in_store("run", {"--shard", "1/2"}).status, 0);
+    const CliRun merged = in_store("merge", {});
+    EXPECT_EQ(merged.status, 0) << merged.err;
+    EXPECT_EQ(merged.out, ref.out);
+    std::filesystem::remove_all(store);
+}
+
 TEST(StudyTest, JsonSinkProducesOneDocument)
 {
     const Overrides ov = tinyOverrides();
@@ -368,63 +551,40 @@ TEST(StudyTest, CsvSinkProducesSummaryRows)
     EXPECT_NE(csv.find("fig14,fig14_4app,CDCS,"), std::string::npos);
 }
 
-TEST(StudyTest, CacheFooterAppearsOnlyWhenHitsOccur)
+TEST(StudyTest, CacheFootersGoToStderrNotTheReport)
 {
+    // A rerun on the same runner is served from the result cache and
+    // prints the same report; the footer with its hits is on stderr.
     const Overrides ov = tinyOverrides();
     const StudySpec *spec = StudyRegistry::instance().find("fig14");
     ASSERT_NE(spec, nullptr);
-    {
-        // Cache off: no footer ever.
-        ExperimentRunner runner;
-        StringReportSink sink;
-        runStudy(*spec, ov, runner, sink);
-        EXPECT_EQ(sink.str().find("[cache:"), std::string::npos);
-    }
-    {
-        // Cache on, all misses: still no footer (this is what keeps
-        // the repeated-lineup cache default byte-identical), but the
-        // second identical study on the same runner hits and reports.
-        ExperimentRunner::Options opts;
-        opts.cacheResults = true;
-        ExperimentRunner runner(opts);
-        StringReportSink first;
-        runStudy(*spec, ov, runner, first);
-        EXPECT_EQ(first.str().find("[cache:"), std::string::npos);
-        StringReportSink second;
-        runStudy(*spec, ov, runner, second);
-        EXPECT_NE(second.str().find("[cache:"), std::string::npos);
-    }
+    ExperimentRunner runner(runnerOptions(ov));
+    StringReportSink cold;
+    ::testing::internal::CaptureStderr();
+    runStudy(*spec, ov, runner, cold);
+    const std::string cold_err = ::testing::internal::GetCapturedStderr();
+    StringReportSink warm;
+    ::testing::internal::CaptureStderr();
+    runStudy(*spec, ov, runner, warm);
+    const std::string warm_err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(cold_err.find("[cache:"), std::string::npos) << cold_err;
+    EXPECT_NE(warm_err.find("[cache:"), std::string::npos) << warm_err;
+    EXPECT_EQ(warm.str(), cold.str());
 }
 
-TEST(StudyTest, RepeatedLineupStudiesEnableTheCacheByDefault)
+TEST(StudyTest, RunnerOptionsAlwaysCacheResults)
 {
-    // Multi-sweep studies declare the repeated lineup...
-    for (const char *name :
-         {"fig12", "fig13", "fig18", "ablation_stability",
-          "vic_bankgrain", "noc_sensitivity", "noc_heatmap",
-          "placement_contention", "mem_placement"}) {
-        const StudySpec *spec =
-            StudyRegistry::instance().find(name);
-        ASSERT_NE(spec, nullptr) << name;
-        EXPECT_TRUE(spec->repeatedLineup) << name;
-    }
-    // ...single-sweep studies don't.
-    for (const char *name : {"fig11", "fig14", "table1"}) {
-        const StudySpec *spec =
-            StudyRegistry::instance().find(name);
-        ASSERT_NE(spec, nullptr) << name;
-        EXPECT_FALSE(spec->repeatedLineup) << name;
-    }
-
-    // runnerOptions: off by default, on for repeated-lineup batches,
-    // and an explicit --set cache=0 still wins.
     const Overrides none;
-    EXPECT_FALSE(runnerOptions(none).cacheResults);
-    EXPECT_TRUE(runnerOptions(none, true).cacheResults);
-    Overrides off;
+    EXPECT_TRUE(runnerOptions(none).cacheResults);
+    EXPECT_TRUE(runnerOptions(none).cacheDir.empty());
+    Overrides ov;
     std::string err;
-    ASSERT_TRUE(off.add("cache=0", &err)) << err;
-    EXPECT_FALSE(runnerOptions(off, true).cacheResults);
+    ASSERT_TRUE(ov.add("cacheDir=store", &err)) << err;
+    ASSERT_TRUE(ov.add("workers=3", &err)) << err;
+    const ExperimentRunner::Options opts = runnerOptions(ov);
+    EXPECT_TRUE(opts.cacheResults);
+    EXPECT_EQ(opts.cacheDir, "store");
+    EXPECT_EQ(opts.workers, 3u);
 }
 
 std::string

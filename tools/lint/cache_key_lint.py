@@ -13,9 +13,9 @@ differently would collapse onto one cache cell. The lint checks:
      dotted paths, is bound by exactly one `visit("key", c.<path>, ...)`
      entry of the list;
   2. no entry binds a path that is not such a member;
-  3. every entry with an `unkeyed("...")` rule and every study knob of
-     the `knobs[]` table in src/sim/overrides.cc carries a one-line
-     reason why the cache key may leave it out;
+  3. every study knob of the `knobs[]` table in src/sim/overrides.cc
+     (`{"name", "type", rule, "reason"}`) carries a one-line reason why
+     the cache key, which sees only SystemConfig, may leave it out;
   4. cacheKey (src/sim/experiment_runner.cc) builds its SystemConfig
      part through forEachField and names no `cfg.` member itself.
 
@@ -40,7 +40,7 @@ ENTRY_RE = re.compile(
     re.S | re.M)
 KNOB_RE = re.compile(
     r'\{\s*"(\w+)"\s*,\s*"\w+"\s*,(.*?)\}\s*(?:,|\Z)', re.S)
-UNKEYED_RE = re.compile(r'\.unkeyed\(\s*((?:"(?:[^"\\]|\\.)*"\s*)*)\)')
+REASON_RE = re.compile(r',\s*((?:"(?:[^"\\]|\\.)*"\s*)+)$')
 
 
 class ParseError(Exception):
@@ -103,16 +103,13 @@ def config_members(repo):
     return paths
 
 
-def reason_of(rule):
-    """The unkeyed() reason of a rule: None when absent, else text."""
-    m = UNKEYED_RE.search(rule)
+def reason_of(rest):
+    """The reason of a knob entry (the string literal after its rule):
+    None when absent, else text."""
+    m = REASON_RE.search(rest.strip())
     if m is None:
         return None
     return "".join(re.findall(r'"((?:[^"\\]|\\.)*)"', m.group(1)))
-
-
-def bad_reason(reason):
-    return not reason.strip() or "\\n" in reason
 
 
 def main():
@@ -150,16 +147,10 @@ def main():
             findings.append(
                 f"entry '{key}' binds c.{path}, which is not a "
                 "SystemConfig member")
-    for key, _path, rule in entries:  # Rule 3, list entries.
-        reason = reason_of(rule)
-        if reason is not None and bad_reason(reason):
-            findings.append(
-                f"unkeyed entry '{key}' needs a one-line reason")
-    for name, rule in knobs:  # Rule 3, study knobs.
-        reason = reason_of(rule)
-        if reason is None or bad_reason(reason):
-            findings.append(
-                f"study knob '{name}' needs a one-line unkeyed() reason")
+    for name, rest in knobs:  # Rule 3.
+        reason = reason_of(rest)
+        if reason is None or not reason.strip() or "\\n" in reason:
+            findings.append(f"study knob '{name}' needs a one-line reason")
     if not re.search(r"\bforEachField\(\s*cfg\b", key_body):  # Rule 4.
         findings.append("cacheKey does not key SystemConfig through "
                         "forEachField(cfg, ...)")

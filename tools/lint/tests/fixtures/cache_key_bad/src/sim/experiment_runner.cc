@@ -5,10 +5,7 @@ ExperimentRunner::cacheKey(const SystemConfig &cfg,
 {
     std::string key;
     forEachField(cfg, [&key](const char *name, const auto &,
-                             const FieldRule &rule) {
-        if (rule.unkeyedReason == nullptr)
-            key += name;
-    });
+                             const FieldRule &) { key += name; });
     key += std::to_string(cfg.meshWidth);
     appendF(key, "spec:%d", static_cast<int>(scheme.kind));
     return key;

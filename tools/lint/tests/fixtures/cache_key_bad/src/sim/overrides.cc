@@ -1,6 +1,6 @@
 // Fixture: a study knob without a reason.
 const Knob knobs[] = {
-    {"mixes", "uint",
-     FieldRule().unkeyed("each run is keyed by its own MixSpec")},
+    {"mixes", "uint", FieldRule(),
+     "each run is keyed by its own MixSpec"},
     {"mystery", "uint", FieldRule()},
 };

@@ -33,7 +33,7 @@ forEachField(Config &c, Visit &&visit)
     visit("meshWidth", c.meshWidth, R().atLeast(1));
     visit("seed", c.seed, R());
     visit("seedAgain", c.seed, R());
-    visit("stats", c.statsFilter, R().unkeyed(""));
+    visit("stats", c.statsFilter, R());
     visit("walkDelay", c.moveCfg.walkDelay, R());
     visit("ghost", c.ghostField, R());
 }

@@ -37,9 +37,7 @@ forEachField(Config &c, Visit &&visit)
     using R = FieldRule;
     visit("meshWidth", c.meshWidth, R().atLeast(1));
     visit("seed", c.seed, R());
-    visit("stats", c.statsFilter,
-          R().unkeyed("reporting-only: the simulation never "
-                      "reads it"));
+    visit("stats", c.statsFilter, R());
     visit("walkDelay", c.moveCfg.walkDelay, R());
     visit("allocHysteresis", c.moveCfg.allocHysteresis, R().atMost(1));
 }
