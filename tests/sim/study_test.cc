@@ -4,8 +4,10 @@
  * converted harness, runStudy resolves config/knob precedence, text
  * output is deterministic and byte-identical to a hand-written
  * legacy-style rendering of the same experiment, the JSON/CSV sinks
- * produce well-formed summaries, and `stats=` metrics traces are a
- * pure function of the config.
+ * produce well-formed summaries, `stats=` metrics traces are a pure
+ * function of the config, and the CLI keeps its exit statuses and its
+ * result-cache contract (a warm store rerun prints the storeless
+ * run's stdout and artifacts; merge checks the store it finds).
  */
 
 #include <algorithm>
@@ -310,8 +312,7 @@ countAfter(const std::string &text, const std::string &label)
 std::string
 regularFile(const std::string &name)
 {
-    const std::string path = ::testing::TempDir() + name;
-    std::filesystem::remove_all(path);
+    const std::string path = freshPath(name);
     std::ofstream(path) << "not a directory\n";
     return path;
 }
