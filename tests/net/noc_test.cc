@@ -14,6 +14,7 @@
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "common/rng.hh"
 #include "net/contention_noc.hh"
@@ -71,16 +72,158 @@ TEST(ZeroLoadNocTest, TrafficAccountingMatchesMeshCounters)
     EXPECT_TRUE(noc.linkStats().empty());
 }
 
+TEST(ZeroLoadNocTest, KeepsNoLinkStateUnderTraffic)
+{
+    // The zero-load model counts per-class flit-hops and nothing
+    // else: after traffic on every leg kind and both epoch closes it
+    // reports no links, charges no wait and bumps no `noc.*` stat.
+    const StatId flits_id = StatRegistry::counter("noc.link_flits");
+    const StatId sat_id = StatRegistry::counter("noc.saturated_links");
+    StatRegistry::setEnabled(true);
+    const Mesh mesh(4, 4);
+    ZeroLoadNoc noc(mesh);
+    const StatRegistry::Snapshot before = StatRegistry::localSnapshot();
+    std::uint64_t flit_hops = 0;
+    for (TileId a = 0; a < mesh.numTiles(); a++) {
+        for (TileId b = 0; b < mesh.numTiles(); b++) {
+            noc.addTraffic(TrafficClass::L2ToLLC, a, b, 1000);
+            flit_hops += 1000u * static_cast<std::uint64_t>(
+                mesh.hops(a, b));
+        }
+        for (int c = 0; c < mesh.numMemCtrls(); c++) {
+            noc.addMemTraffic(TrafficClass::LLCToMem, a, c, 1000);
+            noc.addMemResponse(TrafficClass::LLCToMem, c, a, 1000);
+            noc.addFarMemTraffic(TrafficClass::LLCToMem, a, c, 1000);
+            noc.addFarMemResponse(TrafficClass::LLCToMem, c, a, 1000);
+            flit_hops += 4000u * static_cast<std::uint64_t>(
+                mesh.hopsToCtrl(a, c));
+        }
+    }
+    noc.epochUpdate(10.0);
+    noc.finalEpoch(10.0);
+    const StatRegistry::Snapshot after = StatRegistry::localSnapshot();
+    StatRegistry::setEnabled(false);
+
+    EXPECT_EQ(after[flits_id], before[flits_id]);
+    EXPECT_EQ(after[sat_id], before[sat_id]);
+    EXPECT_TRUE(noc.linkStats().empty());
+    EXPECT_EQ(noc.totalFlitHops(), flit_hops);
+    for (TileId a = 0; a < mesh.numTiles(); a++) {
+        for (TileId b = 0; b < mesh.numTiles(); b++) {
+            EXPECT_EQ(noc.pathWait(a, b), 0.0);
+            EXPECT_EQ(noc.latency(a, b, 5),
+                      static_cast<double>(
+                          mesh.latency(mesh.hops(a, b), 5)));
+        }
+        for (int c = 0; c < mesh.numMemCtrls(); c++) {
+            EXPECT_EQ(noc.memPathWait(a, c), 0.0);
+            EXPECT_EQ(noc.memResponsePathWait(c, a), 0.0);
+            const auto zero_load = static_cast<double>(
+                mesh.latency(mesh.hopsToCtrl(a, c), 5));
+            EXPECT_EQ(noc.memLatency(a, c, 5), zero_load);
+            EXPECT_EQ(noc.memResponseLatency(c, a, 5), zero_load);
+            EXPECT_EQ(noc.farMemLatency(a, c, 5), zero_load);
+            EXPECT_EQ(noc.farMemResponseLatency(c, a, 5), zero_load);
+        }
+    }
+}
+
 TEST(ContentionNocTest, ZeroTrafficMatchesZeroLoad)
 {
+    // An unloaded contention mesh, far links included, prices every
+    // leg exactly like the zero-load model.
     const Mesh mesh(6, 6);
     const ZeroLoadNoc zero(mesh);
-    ContentionNoc cont(mesh, 1.0, 0.95);
+    ContentionNoc cont(mesh, 1.0, 0.95, /*far_links=*/true);
     cont.epochUpdate(1e6);
-    for (TileId a = 0; a < mesh.numTiles(); a += 5) {
-        for (TileId b = 0; b < mesh.numTiles(); b += 3) {
-            EXPECT_DOUBLE_EQ(cont.latency(a, b, 5),
-                             zero.latency(a, b, 5));
+    for (TileId a = 0; a < mesh.numTiles(); a++) {
+        for (TileId b = 0; b < mesh.numTiles(); b++)
+            EXPECT_EQ(cont.latency(a, b, 5), zero.latency(a, b, 5));
+        for (int c = 0; c < mesh.numMemCtrls(); c++) {
+            EXPECT_EQ(cont.memLatency(a, c, 1), zero.memLatency(a, c, 1));
+            EXPECT_EQ(cont.memResponseLatency(c, a, 5),
+                      zero.memResponseLatency(c, a, 5));
+            EXPECT_EQ(cont.farMemLatency(a, c, 1),
+                      zero.farMemLatency(a, c, 1));
+            EXPECT_EQ(cont.farMemResponseLatency(c, a, 5),
+                      zero.farMemResponseLatency(c, a, 5));
+        }
+    }
+}
+
+TEST(ContentionNocTest, MemLegIsRouteWaitPlusAttachWait)
+{
+    // Every memory leg is its X-Y mesh route plus one attach link:
+    // the far link for a far leg when far links exist, else the near
+    // one. Each latency must be the zero-load latency plus (route
+    // walk + attach wait) for a request and (attach wait + route
+    // walk) for a response, bit for bit, with the attach wait read
+    // from the link's linkStats() entry.
+    const Mesh mesh(6, 6);
+    const int tiles = mesh.numTiles();
+    const int ctrls = mesh.numMemCtrls();
+    for (const bool far_links : {true, false}) {
+        ContentionNoc noc(mesh, 1.0, 0.95, far_links);
+        Rng rng(4242);
+        // Every controller gets the same legs: 2-flit near and
+        // 1-flit far ones in each direction, so over `cycles` the
+        // near attach links run at 0.5 and the far ones at 0.25.
+        const int per_ctrl = 40 * tiles / ctrls;
+        const double cycles = 8.0 * per_ctrl;
+        for (int i = 0; i < per_ctrl * ctrls; i++) {
+            const int c = i % ctrls;
+            const auto a = static_cast<TileId>(rng.below(tiles));
+            const auto b = static_cast<TileId>(rng.below(tiles));
+            noc.addTraffic(TrafficClass::L2ToLLC, a, b, 1);
+            noc.addMemTraffic(TrafficClass::LLCToMem, a, c, 2);
+            noc.addMemResponse(TrafficClass::LLCToMem, c, b, 2);
+            noc.addFarMemTraffic(TrafficClass::LLCToMem, b, c, 1);
+            noc.addFarMemResponse(TrafficClass::LLCToMem, c, a, 1);
+        }
+        noc.epochUpdate(cycles);
+
+        std::vector<double> near_wait(ctrls, -1.0);
+        std::vector<double> far_wait(ctrls, -1.0);
+        for (const NocLinkStat &link : noc.linkStats()) {
+            if (link.memCtrl >= 0)
+                (link.far ? far_wait : near_wait)[link.memCtrl] =
+                    link.waitCycles;
+        }
+        for (int c = 0; c < ctrls; c++) {
+            EXPECT_GT(near_wait[c], 0.0);
+            if (far_links) {
+                EXPECT_GT(far_wait[c], 0.0);
+                EXPECT_NE(far_wait[c], near_wait[c]);
+            } else {
+                EXPECT_EQ(far_wait[c], -1.0); // No far link listed.
+            }
+        }
+
+        for (TileId t = 0; t < tiles; t++) {
+            for (int c = 0; c < ctrls; c++) {
+                const TileId ct = mesh.memCtrlTile(c);
+                const auto req = static_cast<double>(
+                    mesh.latency(mesh.hopsToCtrl(t, c), 1));
+                const auto resp = static_cast<double>(
+                    mesh.latency(mesh.hopsToCtrl(t, c), 5));
+                const double to_ctrl = noc.walkPathWait(t, ct);
+                const double from_ctrl = noc.walkPathWait(ct, t);
+                EXPECT_EQ(noc.memLatency(t, c, 1),
+                          req + (to_ctrl + near_wait[c]));
+                EXPECT_EQ(noc.memResponseLatency(c, t, 5),
+                          resp + (near_wait[c] + from_ctrl));
+                if (far_links) {
+                    EXPECT_EQ(noc.farMemLatency(t, c, 1),
+                              req + (to_ctrl + far_wait[c]));
+                    EXPECT_EQ(noc.farMemResponseLatency(c, t, 5),
+                              resp + (far_wait[c] + from_ctrl));
+                } else {
+                    EXPECT_EQ(noc.farMemLatency(t, c, 1),
+                              noc.memLatency(t, c, 1));
+                    EXPECT_EQ(noc.farMemResponseLatency(c, t, 5),
+                              noc.memResponseLatency(c, t, 5));
+                }
+            }
         }
     }
 }
