@@ -10,6 +10,15 @@
  * CDCS heuristics; graph partitioning does not outperform CDCS (it
  * splits the chip center instead of clustering around it). The
  * comparators also cost orders of magnitude more runtime.
+ *
+ * The study prints weighted speedups only, no runtime table. The
+ * per-invocation step times in RunResult::avgTimes are host wall
+ * clock, which the result cache and store replay like simulated
+ * results, so a warm rerun would print a stale measurement as a fresh
+ * one. They also miss the comparators' own searches: CDCS+SA times
+ * only the CDCS steps it starts from, not its annealing, and the
+ * bisection runtime fills no times at all. table3 is the one study
+ * that measures runtime.
  */
 
 #include "sim/study.hh"
@@ -51,16 +60,6 @@ const StudyRegistrar registrar([] {
             [&](int m) { return MixSpec::cpu(32, 9500 + m); });
         ctx.sink.sweep("vic_placers", sweep);
         writeWsSummary(ctx.sink, sweep);
-
-        ctx.sink.printf("\nreconfiguration runtime (avg us per "
-                        "invocation, mix 0)\n%-12s %10s %10s %10s\n",
-                        "scheme", "alloc", "thread", "data");
-        for (std::size_t s = 1; s < schemes.size(); s++) {
-            const RuntimeStepTimes &t = sweep.firstRun[s].avgTimes;
-            ctx.sink.printf("%-12s %10.1f %10.1f %10.1f\n",
-                            schemes[s].name.c_str(), t.allocUs,
-                            t.threadPlaceUs, t.dataPlaceUs);
-        }
     };
     return spec;
 }());
