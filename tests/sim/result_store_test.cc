@@ -10,7 +10,7 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,21 +27,37 @@ namespace cdcs
 namespace
 {
 
-/** A unique fresh directory under /tmp for one test. */
-std::string
-freshDir(const char *tag)
+/**
+ * A fresh store directory under the gtest temp dir for one test,
+ * removed with everything in it when the test ends.
+ */
+class ScopedDir
 {
-    const char *base = std::getenv("TMPDIR");
-    std::string dir =
-        (base != nullptr && *base != '\0') ? base : "/tmp";
-    dir += "/cdcs_store_test_";
-    dir += tag;
-    dir += "_";
-    dir += std::to_string(::getpid());
-    // Start clean: drop records from a previous crashed run.
-    std::system(("rm -rf '" + dir + "'").c_str());
-    return dir;
-}
+  public:
+    explicit ScopedDir(const std::string &tag)
+        : dir(std::filesystem::path(::testing::TempDir()) /
+              ("cdcs_store_test_" + tag + "_" +
+               std::to_string(::getpid())))
+    {
+        // Start clean: drop records from a previous crashed run.
+        std::filesystem::remove_all(dir);
+        std::filesystem::create_directories(dir);
+    }
+
+    ~ScopedDir()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(dir, ec);
+    }
+
+    ScopedDir(const ScopedDir &) = delete;
+    ScopedDir &operator=(const ScopedDir &) = delete;
+
+    const std::string &path() const { return dir; }
+
+  private:
+    std::string dir;
+};
 
 std::string
 recordPathOf(const ResultStore &store, const std::string &dir,
@@ -176,7 +192,8 @@ fnv1a64(const char *data, std::size_t size)
 
 TEST(ResultStoreTest, RoundTripsEveryFieldAcrossInstances)
 {
-    const std::string dir = freshDir("roundtrip");
+    const ScopedDir dir_scope("roundtrip");
+    const std::string &dir = dir_scope.path();
     const RunResult written = sampleResult(0.5);
     {
         ResultStore store(dir, "v1");
@@ -199,7 +216,8 @@ TEST(ResultStoreTest, RoundTripsEveryFieldAcrossInstances)
 
 TEST(ResultStoreTest, CodeVersionSaltInvalidatesRecords)
 {
-    const std::string dir = freshDir("salt");
+    const ScopedDir dir_scope("salt");
+    const std::string &dir = dir_scope.path();
     {
         ResultStore v1(dir, "v1");
         ASSERT_TRUE(v1.save("key", sampleResult(0.0)));
@@ -219,7 +237,8 @@ TEST(ResultStoreTest, CodeVersionSaltInvalidatesRecords)
 
 TEST(ResultStoreTest, TruncatedAndCorruptRecordsAreSkipped)
 {
-    const std::string dir = freshDir("corrupt");
+    const ScopedDir dir_scope("corrupt");
+    const std::string &dir = dir_scope.path();
     ResultStore store(dir, "v1");
     ASSERT_TRUE(store.save("key", sampleResult(1.0)));
     const std::string path = recordPathOf(store, dir, "key");
@@ -250,7 +269,8 @@ TEST(ResultStoreTest, RecordBytesArePinned)
 {
     // Format 4 on disk, byte for byte: a change to the field list or
     // its encoding must bump recordFormat, not silently reuse it.
-    const std::string dir = freshDir("pinned");
+    const ScopedDir dir_scope("pinned");
+    const std::string &dir = dir_scope.path();
     ResultStore store(dir, "v1");
     ASSERT_TRUE(store.save("cfg:a|mix:b", sampleResult(0.5)));
     const std::string blob =
@@ -264,7 +284,8 @@ TEST(ResultStoreTest, OversizedLinkCountIsCorruptNotFatal)
     // A checksum-valid record (the store directory is shared) whose
     // nocLinks count claims ~4G links: load must reject it before
     // allocating anything.
-    const std::string dir = freshDir("links");
+    const ScopedDir dir_scope("links");
+    const std::string &dir = dir_scope.path();
     const std::string version = "v1", key = "key";
     ResultStore store(dir, version);
     const RunResult r = sampleResult(0.0);
@@ -298,7 +319,8 @@ TEST(ResultStoreTest, OversizedLinkCountIsCorruptNotFatal)
 
 TEST(ResultStoreTest, ConcurrentWritersLeaveAConsistentStore)
 {
-    const std::string dir = freshDir("writers");
+    const ScopedDir dir_scope("writers");
+    const std::string &dir = dir_scope.path();
     ResultStore store(dir, "v1");
     ASSERT_TRUE(store.ok());
     // Two threads hammer overlapping key sets; every record must end
@@ -362,7 +384,8 @@ mixOf(int m)
 
 TEST(ShardedRunnerTest, WarmRunnerServesEveryCellFromTheStore)
 {
-    const std::string dir = freshDir("warm");
+    const ScopedDir dir_scope("warm");
+    const std::string &dir = dir_scope.path();
     const SystemConfig cfg = tinyConfig();
 
     ExperimentRunner cold(storeOptions(dir));
@@ -388,8 +411,10 @@ TEST(ShardedRunnerTest, WarmRunnerServesEveryCellFromTheStore)
 
 TEST(ShardedRunnerTest, ShardsPartitionCellsAndMergeMatchesUnsharded)
 {
-    const std::string dir = freshDir("shards");
-    const std::string dir_ref = freshDir("shards_ref");
+    const ScopedDir dir_scope("shards");
+    const std::string &dir = dir_scope.path();
+    const ScopedDir dir_ref_scope("shards_ref");
+    const std::string &dir_ref = dir_ref_scope.path();
     const SystemConfig cfg = tinyConfig();
 
     // Reference: unsharded cold sweep into its own store. Its store
