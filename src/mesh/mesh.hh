@@ -9,7 +9,7 @@
  * zero-load latency of the 3-cycle-router / 1-cycle-link mesh in the
  * paper (Table 2). The Mesh is pure topology + latency math; traffic
  * accounting (per-class flit-hops, per-link loads) lives in the
- * pluggable network models under src/net/.
+ * network model, src/net/noc_model.hh.
  */
 
 #ifndef CDCS_MESH_MESH_HH

@@ -1,17 +1,37 @@
 /**
  * @file
- * Pluggable network-on-chip model interface. The simulation layers
- * (AccessPath, EpochController) talk to a NocModel instead of doing
- * Mesh latency arithmetic directly, so the network model can range
- * from the paper's zero-load analytic mesh (Table 2) to a
- * contention-aware queueing model without touching the access flow.
+ * The network-on-chip model. The simulation layers (AccessPath,
+ * EpochController) price and account every message through a NocModel
+ * instead of doing Mesh latency arithmetic directly.
  *
- * A NocModel answers two hot-path queries — message latency between
- * tiles and to a memory controller — and accounts each message's
- * traffic (per-class flit-hops, and per-link flits for models that
- * track links). Contention state is refreshed only at epoch
- * boundaries (epochUpdate), never on the access path, so latency
- * queries stay table lookups along the route.
+ * One class serves both `noc=` models; whether links are counted is a
+ * constructor choice. NocModel(mesh) is `zero-load`, the paper's
+ * Table 2 mesh: it keeps no per-link state, every wait is 0, and only
+ * the per-class flit-hop counters move. NocModel(mesh, injScale,
+ * maxUtil, farLinks) is `contention`: every message is routed X-Y
+ * over explicit directed links (four per tile, plus one attach link
+ * per memory controller, and a second, far-tier one per controller
+ * with far links), and each link is charged an M/D/1-style waiting
+ * time computed at each epoch boundary from the previous epoch's
+ * measured link loads.
+ *
+ * Accounting a message never walks its route: a mesh leg adds its
+ * flits to a tiles x tiles (source, destination) pair matrix, and
+ * each epoch close folds every nonzero pair onto its route's links
+ * with one walk. Link counts are integer sums, so folding late gives
+ * exactly the counts a per-message walk would; linkStats() folds the
+ * pending pairs into its own copy, so a mid-epoch snapshot sees them
+ * too.
+ *
+ * A latency query is the zero-load latency plus a route wait. Link
+ * waits only change at epochUpdate, which flattens the per-route wait
+ * sums into one all-pairs table (built by extending each walk one
+ * link at a time, so every entry performs the exact addition sequence
+ * of the route walk — bit-identical by construction). A memory leg is
+ * its mesh route plus one attach link, so its wait is one table read
+ * plus one link wait. The injection scale multiplies measured
+ * utilizations, letting studies sweep load without changing the
+ * workload (noc_sensitivity).
  */
 
 #ifndef CDCS_NET_NOC_MODEL_HH
@@ -49,124 +69,167 @@ struct NocLinkStat
 };
 
 /**
- * Interface of a network model: latency queries + traffic accounting
- * + epoch-boundary contention refresh + stats snapshots.
- *
- * The base class owns the per-class flit-hop counters every model
- * reports (the Fig. 11d / 14 / 15b breakdowns); per-link accounting
- * is delegated to the routeMsg/routeMemMsg hooks so zero-load models
- * pay nothing for it.
+ * Latency queries + traffic accounting + epoch-boundary contention
+ * refresh + stats snapshots of the on-chip network.
  */
 class NocModel
 {
   public:
-    explicit NocModel(const Mesh &mesh) : topo(mesh) { flitHops.fill(0); }
-    virtual ~NocModel() = default;
+    /** The zero-load mesh (`noc=zero-load`): no link state. */
+    explicit NocModel(const Mesh &mesh) : topo(mesh) {}
+
+    /**
+     * The contention mesh (`noc=contention`).
+     *
+     * @param inj_scale Multiplier on measured link utilization
+     *        (injection-rate scaling; 1.0 models the workload as-is).
+     * @param max_util Utilization clamp of the M/D/1 waiting time
+     *        (keeps the wait finite as links saturate).
+     * @param far_links Give each controller a second, far-tier attach
+     *        link (capacity disaggregation). Off by default so the
+     *        link population — and therefore every epoch update and
+     *        stat — is untouched when no far tier is configured.
+     */
+    NocModel(const Mesh &mesh, double inj_scale, double max_util,
+             bool far_links = false);
 
     NocModel(const NocModel &) = delete;
     NocModel &operator=(const NocModel &) = delete;
 
-    /** The `noc=` value that selects the model ("zero-load", ...). */
-    virtual const char *name() const = 0;
+    /** The `noc=` value that selects the model. */
+    const char *
+    name() const
+    {
+        return contention ? "contention" : "zero-load";
+    }
 
     /** Latency of one message routed X-Y from src to dst. */
-    virtual double latency(TileId src, TileId dst,
-                           std::uint32_t payload_flits) const = 0;
+    double
+    latency(TileId src, TileId dst, std::uint32_t payload_flits) const
+    {
+        return static_cast<double>(
+                   topo.latency(topo.hops(src, dst), payload_flits)) +
+            pathWait(src, dst);
+    }
 
     /**
-     * Latency of one message between a tile and memory controller
-     * `ctrl`, including the controller's attach link (the +1 hop of
+     * Latency of one request from a tile to memory controller `ctrl`,
+     * including the controller's attach link (the +1 hop of
      * Mesh::hopsToCtrl).
      */
-    virtual double memLatency(TileId tile, int ctrl,
-                              std::uint32_t payload_flits) const = 0;
+    double
+    memLatency(TileId tile, int ctrl, std::uint32_t payload_flits) const
+    {
+        return memZeroLoad(tile, ctrl, payload_flits) +
+            requestWait(tile, ctrl, false);
+    }
 
-    /**
-     * Latency of one response from memory controller `ctrl` to a
-     * tile (incl. attach). Zero-load latency is direction-symmetric,
-     * so the default forwards to memLatency; contention models charge
-     * the response-direction link waits instead.
-     */
-    virtual double
+    /** Latency of one response from controller `ctrl` to a tile. */
+    double
     memResponseLatency(int ctrl, TileId tile,
                        std::uint32_t payload_flits) const
     {
-        return memLatency(tile, ctrl, payload_flits);
+        return memZeroLoad(tile, ctrl, payload_flits) +
+            responseWait(ctrl, tile, false);
     }
 
     /**
-     * Latency of one message between a tile and controller `ctrl`'s
-     * FAR attach link. The far pool hangs off the same controller
-     * tile as near DRAM, so the mesh legs are identical and only the
-     * attach link differs; models without dedicated far links (and
-     * zero-load models, where an uncontended attach link prices the
-     * same) answer the near-tier latency.
+     * Latency of one request to controller `ctrl`'s far tier. The far
+     * pool hangs off the same controller tile as near DRAM, so only
+     * the attach link can differ (and does only with far links).
      */
-    virtual double
+    double
     farMemLatency(TileId tile, int ctrl,
                   std::uint32_t payload_flits) const
     {
-        return memLatency(tile, ctrl, payload_flits);
+        return memZeroLoad(tile, ctrl, payload_flits) +
+            requestWait(tile, ctrl, true);
     }
 
     /** Far-tier counterpart of memResponseLatency. */
-    virtual double
+    double
     farMemResponseLatency(int ctrl, TileId tile,
                           std::uint32_t payload_flits) const
     {
-        return memResponseLatency(ctrl, tile, payload_flits);
+        return memZeroLoad(tile, ctrl, payload_flits) +
+            responseWait(ctrl, tile, true);
     }
+
+    /**
+     * Queueing wait (cycles) charged on top of the zero-load latency
+     * along the X-Y route src -> dst (one table read). This is the
+     * query the reconfiguration runtime's PlacementCostModel snapshots
+     * each epoch, so placement sees the same contention the access
+     * path pays.
+     */
+    double
+    pathWait(TileId src, TileId dst) const
+    {
+        if (!contention)
+            return 0.0;
+        return waitTbl[static_cast<std::size_t>(src) *
+                           static_cast<std::size_t>(topo.numTiles()) +
+                       dst];
+    }
+
+    /** Wait of a request route to controller `ctrl`, incl. attach. */
+    double
+    memPathWait(TileId tile, int ctrl) const
+    {
+        return requestWait(tile, ctrl, false);
+    }
+
+    /** Wait of a response route from controller `ctrl` (attach first). */
+    double
+    memResponsePathWait(int ctrl, TileId tile) const
+    {
+        return responseWait(ctrl, tile, false);
+    }
+
+    /**
+     * Reference implementation of pathWait: the literal link-by-link
+     * route walk the flattened table must reproduce bit for bit.
+     * Kept for tests and for auditing the flattening.
+     */
+    double walkPathWait(TileId src, TileId dst) const;
 
     /** Account one tile-to-tile message of a given class. */
     void
     addTraffic(TrafficClass cls, TileId src, TileId dst,
                std::uint32_t flits)
     {
-        flitHops[static_cast<std::size_t>(cls)] +=
-            static_cast<std::uint64_t>(topo.hops(src, dst)) * flits;
-        routeMsg(src, dst, flits);
+        countHops(cls, topo.hops(src, dst), flits);
+        if (contention)
+            routeMsg(src, dst, flits);
     }
 
-    /** Account one tile-to-memory-controller message (incl. attach). */
+    /** Account one request to controller `ctrl` (route + attach). */
     void
     addMemTraffic(TrafficClass cls, TileId tile, int ctrl,
                   std::uint32_t flits)
     {
-        flitHops[static_cast<std::size_t>(cls)] +=
-            static_cast<std::uint64_t>(topo.hopsToCtrl(tile, ctrl)) *
-            flits;
-        routeMemMsg(tile, ctrl, flits);
+        accountRequest(cls, tile, ctrl, false, flits);
     }
 
     /**
-     * Account one controller-to-tile response (incl. attach). Routes
-     * are X-Y symmetric in hop count, so the per-class flit-hop
-     * totals match addMemTraffic; models with directed per-link
-     * accounting charge the reverse-direction links instead.
+     * Account one response from controller `ctrl` (attach + route).
+     * X-Y routes are symmetric in hop count, so the per-class
+     * flit-hops match addMemTraffic; the per-link accounting charges
+     * the reverse-direction mesh links.
      */
     void
     addMemResponse(TrafficClass cls, int ctrl, TileId tile,
                    std::uint32_t flits)
     {
-        flitHops[static_cast<std::size_t>(cls)] +=
-            static_cast<std::uint64_t>(topo.hopsToCtrl(tile, ctrl)) *
-            flits;
-        routeMemResponse(ctrl, tile, flits);
+        accountResponse(cls, ctrl, tile, false, flits);
     }
 
-    /**
-     * Account one tile-to-controller message entering the FAR attach
-     * link. The hop count matches the near tier (same controller
-     * tile, one attach hop); only the per-link routing differs.
-     */
+    /** Account one request entering controller `ctrl`'s far tier. */
     void
     addFarMemTraffic(TrafficClass cls, TileId tile, int ctrl,
                      std::uint32_t flits)
     {
-        flitHops[static_cast<std::size_t>(cls)] +=
-            static_cast<std::uint64_t>(topo.hopsToCtrl(tile, ctrl)) *
-            flits;
-        routeFarMemMsg(tile, ctrl, flits);
+        accountRequest(cls, tile, ctrl, true, flits);
     }
 
     /** Far-tier counterpart of addMemResponse. */
@@ -174,92 +237,36 @@ class NocModel
     addFarMemResponse(TrafficClass cls, int ctrl, TileId tile,
                       std::uint32_t flits)
     {
-        flitHops[static_cast<std::size_t>(cls)] +=
-            static_cast<std::uint64_t>(topo.hopsToCtrl(tile, ctrl)) *
-            flits;
-        routeFarMemResponse(ctrl, tile, flits);
+        accountResponse(cls, ctrl, tile, true, flits);
     }
 
     /**
-     * Queueing wait (cycles) currently charged on top of the
-     * zero-load latency along the X-Y route src -> dst. This is the
-     * query the reconfiguration runtime's PlacementCostModel snapshots
-     * each epoch, so placement sees the same contention the access
-     * path pays. Zero-load models answer 0.
+     * Epoch boundary: reprice every link from the loads measured over
+     * the last `elapsed_cycles` mean active cycles.
      */
-    virtual double
-    pathWait(TileId src, TileId dst) const
+    void
+    epochUpdate(double elapsed_cycles)
     {
-        (void)src;
-        (void)dst;
-        return 0.0;
-    }
-
-    /**
-     * Queueing wait (cycles) on the route from a tile to memory
-     * controller `ctrl`, including the attach link. Zero-load models
-     * answer 0.
-     */
-    virtual double
-    memPathWait(TileId tile, int ctrl) const
-    {
-        (void)tile;
-        (void)ctrl;
-        return 0.0;
-    }
-
-    /**
-     * Queueing wait (cycles) on the response route from memory
-     * controller `ctrl` back to a tile (attach link + the
-     * reverse-direction mesh links). Zero-load models answer 0.
-     */
-    virtual double
-    memResponsePathWait(int ctrl, TileId tile) const
-    {
-        (void)ctrl;
-        (void)tile;
-        return 0.0;
-    }
-
-    /**
-     * Route wait to controller `ctrl`'s far attach link. Models
-     * without dedicated far links answer the near-tier wait.
-     */
-    virtual double
-    farMemPathWait(TileId tile, int ctrl) const
-    {
-        return memPathWait(tile, ctrl);
-    }
-
-    /** Far-tier counterpart of memResponsePathWait. */
-    virtual double
-    farMemResponsePathWait(int ctrl, TileId tile) const
-    {
-        return memResponsePathWait(ctrl, tile);
-    }
-
-    /**
-     * Epoch boundary: refresh contention state from the loads
-     * measured over the last `elapsed_cycles` mean active cycles.
-     * Zero-load models ignore it.
-     */
-    virtual void epochUpdate(double elapsed_cycles)
-    {
-        (void)elapsed_cycles;
+        closeEpoch(elapsed_cycles, true);
     }
 
     /**
      * End of the run's last epoch, which gets no epochUpdate: count
      * its loads into the per-epoch stats as epochUpdate would, but
-     * leave the contention state (waits, utilizations) untouched.
+     * leave the waits and utilizations untouched.
      */
-    virtual void finalEpoch(double elapsed_cycles)
+    void
+    finalEpoch(double elapsed_cycles)
     {
-        (void)elapsed_cycles;
+        closeEpoch(elapsed_cycles, false);
     }
 
-    /** Reset traffic counters (warmup boundary). */
-    virtual void clearTraffic() { flitHops.fill(0); }
+    /**
+     * Reset the traffic counters (warmup boundary). The waits stay:
+     * the last warmup epoch's estimate is the best predictor for the
+     * first measured epoch.
+     */
+    void clearTraffic();
 
     /** Accumulated flit-hops for a class. */
     std::uint64_t
@@ -278,62 +285,137 @@ class NocModel
         return sum;
     }
 
-    /** Per-link loads; empty for models that don't track links. */
-    virtual std::vector<NocLinkStat> linkStats() const { return {}; }
+    /** Per-link loads; empty under the zero-load model. */
+    std::vector<NocLinkStat> linkStats() const;
 
     const Mesh &mesh() const { return topo; }
 
-  protected:
-    /** Per-link accounting hook for one X-Y routed message. */
-    virtual void
-    routeMsg(TileId src, TileId dst, std::uint32_t flits)
+  private:
+    /** Zero-load latency between a tile and controller `ctrl`. */
+    double
+    memZeroLoad(TileId tile, int ctrl, std::uint32_t payload_flits) const
     {
-        (void)src;
-        (void)dst;
-        (void)flits;
-    }
-
-    /** Per-link accounting hook for one memory leg (+ attach link). */
-    virtual void
-    routeMemMsg(TileId tile, int ctrl, std::uint32_t flits)
-    {
-        (void)tile;
-        (void)ctrl;
-        (void)flits;
-    }
-
-    /** Per-link hook for one memory response (attach link + route). */
-    virtual void
-    routeMemResponse(int ctrl, TileId tile, std::uint32_t flits)
-    {
-        (void)ctrl;
-        (void)tile;
-        (void)flits;
+        return static_cast<double>(
+            topo.latency(topo.hopsToCtrl(tile, ctrl), payload_flits));
     }
 
     /**
-     * Per-link hook for one far-tier memory leg. Models without
-     * dedicated far links fold the traffic into the near accounting.
+     * Link index of the attach link a memory leg through controller
+     * `ctrl` uses: the far block for a far leg when far links exist,
+     * else the near one.
      */
-    virtual void
-    routeFarMemMsg(TileId tile, int ctrl, std::uint32_t flits)
+    std::size_t
+    attachLink(int ctrl, bool far) const
     {
-        routeMemMsg(tile, ctrl, flits);
+        const auto ctrls = static_cast<std::size_t>(topo.numMemCtrls());
+        return attachBase + static_cast<std::size_t>(ctrl) +
+            (far && farLinks ? ctrls : 0);
     }
 
-    /** Per-link hook for one far-tier memory response. */
-    virtual void
-    routeFarMemResponse(int ctrl, TileId tile, std::uint32_t flits)
+    /** Request-leg wait: the route to the controller's tile, then attach. */
+    double
+    requestWait(TileId tile, int ctrl, bool far) const
     {
-        routeMemResponse(ctrl, tile, flits);
+        if (!contention)
+            return 0.0;
+        return pathWait(tile, topo.memCtrlTile(ctrl)) +
+            linkWait[attachLink(ctrl, far)];
     }
+
+    /** Response-leg wait: attach, then the route from the controller. */
+    double
+    responseWait(int ctrl, TileId tile, bool far) const
+    {
+        if (!contention)
+            return 0.0;
+        return linkWait[attachLink(ctrl, far)] +
+            pathWait(topo.memCtrlTile(ctrl), tile);
+    }
+
+    void
+    countHops(TrafficClass cls, int hops, std::uint32_t flits)
+    {
+        flitHops[static_cast<std::size_t>(cls)] +=
+            static_cast<std::uint64_t>(hops) * flits;
+    }
+
+    /** Queue a mesh leg's flits for the epoch-close fold. */
+    void
+    routeMsg(TileId src, TileId dst, std::uint32_t flits)
+    {
+        pairFlits[static_cast<std::size_t>(src) *
+                      static_cast<std::size_t>(topo.numTiles()) +
+                  dst] += flits;
+    }
+
+    void
+    accountRequest(TrafficClass cls, TileId tile, int ctrl, bool far,
+                   std::uint32_t flits)
+    {
+        countHops(cls, topo.hopsToCtrl(tile, ctrl), flits);
+        if (contention) {
+            routeMsg(tile, topo.memCtrlTile(ctrl), flits);
+            linkFlits[attachLink(ctrl, far)] += flits;
+        }
+    }
+
+    /**
+     * The attach link models the controller port and carries both
+     * directions; a response's mesh legs use the reverse-direction
+     * links of the request route.
+     */
+    void
+    accountResponse(TrafficClass cls, int ctrl, TileId tile, bool far,
+                    std::uint32_t flits)
+    {
+        countHops(cls, topo.hopsToCtrl(tile, ctrl), flits);
+        if (contention) {
+            linkFlits[attachLink(ctrl, far)] += flits;
+            routeMsg(topo.memCtrlTile(ctrl), tile, flits);
+        }
+    }
+
+    /**
+     * Close an epoch (contention only): fold the pending pairs into
+     * linkFlits, count each link's flits since the last close into
+     * the `noc.*` stats and, when `refresh`, reprice the links from
+     * them (M/D/1 wait, utilization) and rebuild waitTbl.
+     */
+    void closeEpoch(double elapsed_cycles, bool refresh);
+
+    /** Add every pending pair's flits along its X-Y route. */
+    void foldPairs(std::vector<std::uint64_t> &flits) const;
+
+    /**
+     * Rebuild waitTbl from linkWait (construction, epochUpdate).
+     * O(tiles^2) — off the access path.
+     */
+    void rebuildWaitTable();
 
     const Mesh &topo;
 
-  private:
     std::array<std::uint64_t,
                static_cast<std::size_t>(TrafficClass::NumClasses)>
-        flitHops;
+        flitHops{};
+
+    // Contention state, unused (vectors empty) under zero load.
+    bool contention = false; ///< Links counted and priced.
+    double injScale = 1.0;
+    double maxUtil = 0.0;
+    bool farLinks = false;      ///< Far attach links materialized.
+    std::size_t attachBase = 0; ///< First attach-link index.
+
+    /** Mesh-leg flits not yet folded, [src * tiles + dst]. */
+    std::vector<std::uint64_t> pairFlits;
+
+    // Per-link state, indexed by link id.
+    std::vector<std::uint64_t> linkFlits; ///< Folded, since clearTraffic.
+    std::vector<std::uint64_t> prevFlits; ///< At last epoch close.
+    std::vector<double> linkWait;         ///< Cycles per traversal.
+    std::vector<double> linkUtil;         ///< Last measured (scaled).
+
+    /** Route waits, [src * tiles + dst] (rebuildWaitTable). */
+    std::vector<double> waitTbl;
 };
 
 } // namespace cdcs

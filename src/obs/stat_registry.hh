@@ -10,8 +10,9 @@
  *
  * Disabled (the default) a bump is a single relaxed atomic load, so
  * instrumented paths pay nothing measurable and stats never influence
- * simulated results — which is why the `stats` knobs stay out of the
- * runner cache key.
+ * simulated results. The `stats` knobs still key the runner cache,
+ * like every config field, because a RunResult carries the metrics
+ * trace they select.
  *
  * Names are dot-hierarchical ("noc.link_flits", "time.access_ns");
  * the `stats=` filter selects whole subtrees by comma-separated

@@ -14,10 +14,10 @@
  * the optimistic compact-placement distance — in *hop-equivalent*
  * units: zero-load hops plus the NoC's measured per-route queueing
  * wait divided by hopCycles. Under a model that reports no waits
- * (ZeroLoadNoc, or ContentionNoc before the first epoch update) every
- * query falls through to the exact legacy Mesh expression, so the
- * default configuration stays byte-identical to the pre-oracle
- * simulator.
+ * (`noc=zero-load`, or `noc=contention` before the first epoch
+ * update) every query falls through to the exact legacy Mesh
+ * expression, so the default configuration stays byte-identical to
+ * the pre-oracle simulator.
  */
 
 #ifndef CDCS_RUNTIME_PLACEMENT_COST_HH

@@ -3,8 +3,6 @@
 #include "common/log.hh"
 #include "monitor/gmon.hh"
 #include "monitor/umon.hh"
-#include "net/contention_noc.hh"
-#include "net/zero_load_noc.hh"
 #include "nuca/rnuca.hh"
 #include "nuca/snuca.hh"
 #include "runtime/anneal.hh"
@@ -23,9 +21,9 @@ Platform::Platform(const SystemConfig &cfg, const SchemeSpec &spec,
     // overrides.cc. Programmatic configs bypass that check, so an
     // unknown name fails here.
     if (cfg.nocModel == "zero-load") {
-        noc = std::make_unique<ZeroLoadNoc>(mesh);
+        noc = std::make_unique<NocModel>(mesh);
     } else if (cfg.nocModel == "contention") {
-        noc = std::make_unique<ContentionNoc>(
+        noc = std::make_unique<NocModel>(
             mesh, cfg.nocInjScale, cfg.nocMaxUtil, cfg.hasFarTier());
     } else {
         fatal("unknown noc model '%s' (expected zero-load or "

@@ -12,7 +12,7 @@
 
 #include "mem/mem_placement.hh"
 #include "mem/mem_queue.hh"
-#include "net/contention_noc.hh"
+#include "net/noc_model.hh"
 #include "sim/experiment.hh"
 
 namespace cdcs
@@ -128,7 +128,7 @@ TEST(ContentionMemPlacementTest, QuietRunBehavesLikeFirstTouch)
         EXPECT_EQ(policy.controllerFor(core, line),
                   reference.controllerFor(core, line));
     }
-    ContentionNoc noc(mesh, 1.0, 0.95);
+    NocModel noc(mesh, 1.0, 0.95);
     noc.epochUpdate(10000.0);
     policy.epochUpdate(noc, 10000.0);
     EXPECT_EQ(policy.migratedPages(), 0u);
@@ -144,7 +144,7 @@ TEST(ContentionMemPlacementTest, SteersPagesOffSaturatedController)
     ContentionMemPlacementParams params;
     params.hopCycles = 4.0;
     ContentionMemPlacement policy(mesh, params);
-    ContentionNoc noc(mesh, 1.0, 0.95);
+    NocModel noc(mesh, 1.0, 0.95);
 
     const TileId corner = mesh.tileAt(0, 0);
     const int hot_ctrl = mesh.nearestMemCtrl(corner);
@@ -253,7 +253,7 @@ TEST(ContentionMemPlacementTest, RebalanceIsDeterministic)
     const auto run_history = [&mesh] {
         ContentionMemPlacement policy(
             mesh, ContentionMemPlacementParams{});
-        ContentionNoc noc(mesh, 4.0, 0.95);
+        NocModel noc(mesh, 4.0, 0.95);
         std::vector<int> map;
         for (int epoch = 0; epoch < 3; epoch++) {
             for (std::uint32_t p = 0; p < 40; p++) {

@@ -21,7 +21,7 @@
 #include "mem/mem_migration.hh"
 #include "mem/mem_placement.hh"
 #include "mem/mem_tiering.hh"
-#include "net/contention_noc.hh"
+#include "net/noc_model.hh"
 #include "sim/experiment.hh"
 #include "sim/experiment_runner.hh"
 #include "sim/overrides.hh"
@@ -249,7 +249,7 @@ TEST(HotnessTieringTest, PromotesHotFarPagesUnderMarginAndBudget)
     params.cooldownEpochs = 1;
     params.rowBudget = 1;
     HotnessTieringPolicy policy(mesh, params);
-    ContentionNoc noc(mesh, 1.0, 0.95, /*far_links=*/true);
+    NocModel noc(mesh, 1.0, 0.95, /*far_links=*/true);
 
     const auto far_seed = seededPages(mesh, params, MemTier::Far, 8);
     const auto near_seed =
@@ -286,7 +286,7 @@ TEST(HotnessTieringTest, MarginBlocksNoiseLevelPromotions)
     params.farRatio = 0.5;
     params.promoteMargin = 2.0;
     HotnessTieringPolicy policy(mesh, params);
-    ContentionNoc noc(mesh, 1.0, 0.95, /*far_links=*/true);
+    NocModel noc(mesh, 1.0, 0.95, /*far_links=*/true);
 
     // Far pages only modestly hotter than the near ones: 10 accesses
     // vs 8 does not clear the 2x hysteresis margin, so nothing moves
@@ -313,7 +313,7 @@ TEST(HotnessTieringTest, CooldownStopsPingPong)
     params.cooldownEpochs = 2;
     params.rowBudget = 8;
     HotnessTieringPolicy policy(mesh, params);
-    ContentionNoc noc(mesh, 1.0, 0.95, /*far_links=*/true);
+    NocModel noc(mesh, 1.0, 0.95, /*far_links=*/true);
 
     const auto far_seed = seededPages(mesh, params, MemTier::Far, 2);
     const auto near_seed =
@@ -349,7 +349,7 @@ TEST(HotnessTieringTest, ReuseFilterBlocksOneShotScans)
     params.cooldownEpochs = 1;
     params.rowBudget = 8;
     HotnessTieringPolicy policy(mesh, params);
-    ContentionNoc noc(mesh, 1.0, 0.95, /*far_links=*/true);
+    NocModel noc(mesh, 1.0, 0.95, /*far_links=*/true);
 
     const auto far_seed = seededPages(mesh, params, MemTier::Far, 2);
     const auto near_seed =
@@ -393,7 +393,7 @@ TEST(HotnessTieringTest, EpochDynamicsAreDeterministic)
         params.cooldownEpochs = 1;
         params.rowBudget = 2;
         HotnessTieringPolicy policy(mesh, params);
-        ContentionNoc noc(mesh, 1.0, 0.95, /*far_links=*/true);
+        NocModel noc(mesh, 1.0, 0.95, /*far_links=*/true);
         for (int epoch = 0; epoch < 4; epoch++) {
             for (std::uint64_t p = 0; p < 64; p++)
                 touch(policy, p,
@@ -618,7 +618,7 @@ TEST(PageOrderTest, ContentionPlacementIgnoresFirstTouchOrder)
     const auto run = [&](bool shuffled) {
         ContentionMemPlacement policy(mesh,
                                       ContentionMemPlacementParams{});
-        ContentionNoc noc(mesh, 4.0, 0.95);
+        NocModel noc(mesh, 4.0, 0.95);
         std::vector<std::uint64_t> ctrl_accesses(
             static_cast<std::size_t>(mesh.numMemCtrls()), 0);
         for (int epoch = 0; epoch < 4; epoch++) {
@@ -658,7 +658,7 @@ TEST(PageOrderTest, HotnessTieringIgnoresFirstTouchOrder)
         params.cooldownEpochs = 1;
         params.rowBudget = 4;
         HotnessTieringPolicy policy(mesh, params);
-        ContentionNoc noc(mesh, 1.0, 0.95, /*far_links=*/true);
+        NocModel noc(mesh, 1.0, 0.95, /*far_links=*/true);
         for (int epoch = 0; epoch < 5; epoch++) {
             for (const std::uint64_t page : touchOrder(shuffled))
                 touch(policy, page, accessesOf(page, epoch));

@@ -1,10 +1,11 @@
 /**
  * @file
- * Tests for the pluggable NoC layer: zero-load parity with the legacy
- * Mesh arithmetic, contention-model monotonicity and clamping,
- * per-link accounting conservation (link flits sum to flit-hops), the
- * and the deferred pair-matrix accounting against a per-message
- * route walk.
+ * Tests for the NoC model: zero-load parity with the legacy Mesh
+ * arithmetic and no link state without contention, contention-model
+ * monotonicity and clamping, memory legs as a route plus an attach
+ * link, per-link accounting conservation (link flits sum to
+ * flit-hops), and the deferred pair-matrix accounting against a
+ * per-message route walk.
  */
 
 #include <gtest/gtest.h>
@@ -17,8 +18,7 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "net/contention_noc.hh"
-#include "net/zero_load_noc.hh"
+#include "net/noc_model.hh"
 #include "obs/stat_registry.hh"
 
 namespace cdcs
@@ -29,7 +29,7 @@ namespace
 TEST(ZeroLoadNocTest, LatencyMatchesLegacyMeshArithmetic)
 {
     const Mesh mesh(6, 6);
-    const ZeroLoadNoc noc(mesh);
+    const NocModel noc(mesh);
     for (TileId a = 0; a < mesh.numTiles(); a++) {
         for (TileId b = 0; b < mesh.numTiles(); b++) {
             for (std::uint32_t flits : {1u, 5u}) {
@@ -44,7 +44,7 @@ TEST(ZeroLoadNocTest, LatencyMatchesLegacyMeshArithmetic)
 TEST(ZeroLoadNocTest, MemLatencyMatchesLegacyMeshArithmetic)
 {
     const Mesh mesh(8, 8);
-    const ZeroLoadNoc noc(mesh);
+    const NocModel noc(mesh);
     for (TileId t = 0; t < mesh.numTiles(); t++) {
         for (int c = 0; c < mesh.numMemCtrls(); c++) {
             EXPECT_EQ(noc.memLatency(t, c, 5),
@@ -57,7 +57,7 @@ TEST(ZeroLoadNocTest, MemLatencyMatchesLegacyMeshArithmetic)
 TEST(ZeroLoadNocTest, TrafficAccountingMatchesMeshCounters)
 {
     const Mesh mesh(4, 4);
-    ZeroLoadNoc noc(mesh);
+    NocModel noc(mesh);
     const TileId a = mesh.tileAt(0, 0);
     const TileId b = mesh.tileAt(3, 0); // 3 hops.
     noc.addTraffic(TrafficClass::L2ToLLC, a, b, 5);
@@ -81,7 +81,7 @@ TEST(ZeroLoadNocTest, KeepsNoLinkStateUnderTraffic)
     const StatId sat_id = StatRegistry::counter("noc.saturated_links");
     StatRegistry::setEnabled(true);
     const Mesh mesh(4, 4);
-    ZeroLoadNoc noc(mesh);
+    NocModel noc(mesh);
     const StatRegistry::Snapshot before = StatRegistry::localSnapshot();
     std::uint64_t flit_hops = 0;
     for (TileId a = 0; a < mesh.numTiles(); a++) {
@@ -133,8 +133,8 @@ TEST(ContentionNocTest, ZeroTrafficMatchesZeroLoad)
     // An unloaded contention mesh, far links included, prices every
     // leg exactly like the zero-load model.
     const Mesh mesh(6, 6);
-    const ZeroLoadNoc zero(mesh);
-    ContentionNoc cont(mesh, 1.0, 0.95, /*far_links=*/true);
+    const NocModel zero(mesh);
+    NocModel cont(mesh, 1.0, 0.95, /*far_links=*/true);
     cont.epochUpdate(1e6);
     for (TileId a = 0; a < mesh.numTiles(); a++) {
         for (TileId b = 0; b < mesh.numTiles(); b++)
@@ -163,7 +163,7 @@ TEST(ContentionNocTest, MemLegIsRouteWaitPlusAttachWait)
     const int tiles = mesh.numTiles();
     const int ctrls = mesh.numMemCtrls();
     for (const bool far_links : {true, false}) {
-        ContentionNoc noc(mesh, 1.0, 0.95, far_links);
+        NocModel noc(mesh, 1.0, 0.95, far_links);
         Rng rng(4242);
         // Every controller gets the same legs: 2-flit near and
         // 1-flit far ones in each direction, so over `cycles` the
@@ -231,7 +231,7 @@ TEST(ContentionNocTest, MemLegIsRouteWaitPlusAttachWait)
 TEST(ContentionNocTest, LinkAccountingConservesFlitHops)
 {
     const Mesh mesh(6, 6);
-    ContentionNoc noc(mesh, 1.0, 0.95);
+    NocModel noc(mesh, 1.0, 0.95);
     Rng rng(123);
     for (int i = 0; i < 2000; i++) {
         const auto a = static_cast<TileId>(
@@ -261,7 +261,7 @@ TEST(ContentionNocTest, RequestAndResponseChargeOppositeLinks)
     // the forward and reverse links separately; the old single-call
     // accounting left reverse links idle and double-counted forward.
     const Mesh mesh(4, 4);
-    ContentionNoc noc(mesh, 1.0, 0.95);
+    NocModel noc(mesh, 1.0, 0.95);
     const TileId a = mesh.tileAt(0, 1);
     const TileId b = mesh.tileAt(3, 1);
     noc.addTraffic(TrafficClass::L2ToLLC, a, b, 1);  // Request.
@@ -287,7 +287,7 @@ TEST(ContentionNocTest, RequestAndResponseChargeOppositeLinks)
 TEST(ContentionNocTest, MemResponseChargesReverseRouteAndAttach)
 {
     const Mesh mesh(6, 6);
-    ContentionNoc noc(mesh, 1.0, 0.95);
+    NocModel noc(mesh, 1.0, 0.95);
     const int ctrl = 0;
     const TileId ctrl_tile = mesh.memCtrlTile(ctrl);
     const TileId far = mesh.tileAt(5, 5);
@@ -325,7 +325,7 @@ TEST(ContentionNocTest, ResponseLatencyReadsResponseDirectionWaits)
     // response latency must see the wait, the request latency must
     // not (beyond the shared attach link).
     const Mesh mesh(6, 6);
-    ContentionNoc noc(mesh, 1.0, 0.95);
+    NocModel noc(mesh, 1.0, 0.95);
     const int ctrl = 0;
     const TileId ctrl_tile = mesh.memCtrlTile(ctrl);
     const TileId far = mesh.tileAt(5, 5);
@@ -347,10 +347,10 @@ TEST(ContentionNocTest, ResponseLatencyReadsResponseDirectionWaits)
 
 TEST(ZeroLoadNocTest, MemResponseLatencyIsSymmetric)
 {
-    // The default memResponseLatency forwards to memLatency: under
-    // zero load the response leg costs exactly the request leg.
+    // Under zero load the response leg costs exactly the request
+    // leg.
     const Mesh mesh(6, 6);
-    const ZeroLoadNoc noc(mesh);
+    const NocModel noc(mesh);
     for (TileId t = 0; t < mesh.numTiles(); t += 5) {
         for (int c = 0; c < mesh.numMemCtrls(); c++) {
             EXPECT_EQ(noc.memResponseLatency(c, t, 5),
@@ -366,7 +366,7 @@ TEST(ContentionNocTest, WaitMonotonicInLoad)
     const TileId dst = mesh.tileAt(7, 3);
     double prev = 0.0;
     for (std::uint32_t load : {0u, 100u, 1000u, 10000u, 100000u}) {
-        ContentionNoc noc(mesh, 1.0, 0.95);
+        NocModel noc(mesh, 1.0, 0.95);
         if (load > 0)
             noc.addTraffic(TrafficClass::L2ToLLC, src, dst, load);
         noc.epochUpdate(10000.0);
@@ -383,7 +383,7 @@ TEST(ContentionNocTest, WaitMonotonicInInjectionScale)
     const TileId dst = mesh.tileAt(7, 7);
     double prev = 0.0;
     for (double scale : {1.0, 2.0, 4.0, 8.0, 64.0}) {
-        ContentionNoc noc(mesh, scale, 0.95);
+        NocModel noc(mesh, scale, 0.95);
         noc.addTraffic(TrafficClass::L2ToLLC, src, dst, 500);
         noc.epochUpdate(10000.0);
         const double lat = noc.latency(src, dst, 5);
@@ -395,7 +395,7 @@ TEST(ContentionNocTest, WaitMonotonicInInjectionScale)
 TEST(ContentionNocTest, UtilizationClampBoundsTheWait)
 {
     const Mesh mesh(4, 4);
-    ContentionNoc noc(mesh, 1.0, 0.9);
+    NocModel noc(mesh, 1.0, 0.9);
     const TileId src = mesh.tileAt(0, 0);
     const TileId dst = mesh.tileAt(1, 0);
     // Offered load far beyond link bandwidth.
@@ -414,7 +414,7 @@ TEST(ContentionNocTest, UtilizationClampBoundsTheWait)
 TEST(ContentionNocTest, ClearTrafficKeepsTheContentionEstimate)
 {
     const Mesh mesh(4, 4);
-    ContentionNoc noc(mesh, 1.0, 0.95);
+    NocModel noc(mesh, 1.0, 0.95);
     const TileId src = mesh.tileAt(0, 0);
     const TileId dst = mesh.tileAt(3, 0);
     noc.addTraffic(TrafficClass::L2ToLLC, src, dst, 5000);
@@ -441,7 +441,7 @@ TEST(ZeroLoadNocTest, PathWaitQueriesAnswerZero)
     // 0 everywhere, which is what keeps the default runtime cost
     // model byte-identical to the legacy hop arithmetic.
     const Mesh mesh(6, 6);
-    const ZeroLoadNoc noc(mesh);
+    const NocModel noc(mesh);
     for (TileId a = 0; a < mesh.numTiles(); a++) {
         for (TileId b = 0; b < mesh.numTiles(); b++)
             EXPECT_EQ(noc.pathWait(a, b), 0.0);
@@ -455,7 +455,7 @@ TEST(ContentionNocTest, LatencyDecomposesIntoZeroLoadPlusPathWait)
     // pathWait/memPathWait expose exactly the contention surcharge
     // the latency queries charge: latency == Mesh zero-load + wait.
     const Mesh mesh(6, 6);
-    ContentionNoc noc(mesh, 2.0, 0.95);
+    NocModel noc(mesh, 2.0, 0.95);
     Rng rng(99);
     for (int i = 0; i < 3000; i++) {
         const auto a = static_cast<TileId>(
@@ -492,7 +492,7 @@ TEST(ContentionNocTest, LatencyDecomposesIntoZeroLoadPlusPathWait)
 
 TEST(ContentionNocTest, FlattenedWaitsMatchRouteWalkBitForBit)
 {
-    // The flattened per-epoch tables must reproduce the literal
+    // The flattened per-epoch table must reproduce the literal
     // link-by-link route walk bit-for-bit (EXPECT_EQ, not NEAR) on
     // randomized meshes under randomized traffic: any FP reassociation
     // in the flattening would silently shift every downstream study.
@@ -500,7 +500,7 @@ TEST(ContentionNocTest, FlattenedWaitsMatchRouteWalkBitForBit)
     const int dims[][2] = {{2, 2}, {4, 4}, {6, 6}, {5, 3}, {3, 7}};
     for (const auto &dim : dims) {
         const Mesh mesh(dim[0], dim[1]);
-        ContentionNoc noc(mesh, 1.0, 0.95);
+        NocModel noc(mesh, 1.0, 0.95);
         const int tiles = mesh.numTiles();
         // Random traffic over all classes and both mem directions.
         for (int i = 0; i < 40 * tiles; i++) {
@@ -525,7 +525,7 @@ TEST(ContentionNocTest, FlattenedWaitsMatchRouteWalkBitForBit)
                 EXPECT_EQ(noc.pathWait(a, b), noc.walkPathWait(a, b));
         }
         // Mem legs: the reference is the walk plus/then the attach
-        // wait, in the directions the unflattened queries added them.
+        // wait, in the leg's direction.
         for (int c = 0; c < mesh.numMemCtrls(); c++) {
             const TileId ct = mesh.memCtrlTile(c);
             // The attach wait is observable as the mem-path extra on
@@ -544,10 +544,10 @@ TEST(ContentionNocTest, FlattenedWaitsMatchRouteWalkBitForBit)
 
 TEST(ContentionNocTest, FlattenedWaitsTrackEveryEpochUpdate)
 {
-    // Tables must refresh on every epochUpdate, including after
+    // The table must refresh on every epochUpdate, including after
     // clearTraffic (which keeps the waits).
     const Mesh mesh(4, 4);
-    ContentionNoc noc(mesh, 1.0, 0.95);
+    NocModel noc(mesh, 1.0, 0.95);
     Rng rng(7);
     for (int epoch = 0; epoch < 4; epoch++) {
         for (int i = 0; i < 200; i++) {
@@ -568,11 +568,12 @@ TEST(ContentionNocTest, FlattenedWaitsTrackEveryEpochUpdate)
 }
 
 /**
- * Test-only reference for ContentionNoc's per-link accounting: every
- * message is charged link by link along its X-Y route when it is
- * sent (the walk walkPathWait does for waits), and each epoch close
- * reprices every link with the model's M/D/1 expression. Links are
- * keyed like NocLinkStat: (src, dst, memCtrl, far).
+ * Test-only reference for the contention model's per-link
+ * accounting: every message is charged link by link along its X-Y
+ * route when it is sent (the walk walkPathWait does for waits), and
+ * each epoch close reprices every link with the model's M/D/1
+ * expression. Links are keyed like NocLinkStat: (src, dst, memCtrl,
+ * far).
  */
 class WalkingNocReference
 {
@@ -696,7 +697,7 @@ class WalkingNocReference
 
 /** The same seeded message stream into the model and the reference. */
 void
-sendStream(Rng &rng, const Mesh &mesh, ContentionNoc &noc,
+sendStream(Rng &rng, const Mesh &mesh, NocModel &noc,
            WalkingNocReference &ref, int messages)
 {
     for (int i = 0; i < messages; i++) {
@@ -734,7 +735,7 @@ sendStream(Rng &rng, const Mesh &mesh, ContentionNoc &noc,
 
 /** linkStats() agrees with the reference on every link. */
 void
-expectLinksMatch(const ContentionNoc &noc,
+expectLinksMatch(const NocModel &noc,
                  const WalkingNocReference &ref, bool check_waits,
                  const std::string &point)
 {
@@ -772,7 +773,7 @@ TEST(ContentionNocTest, PairFoldMatchesPerMessageRouteWalk)
                 std::to_string(dim) +
                 (far_links ? " far links" : " no far links");
             const Mesh mesh(dim, dim);
-            ContentionNoc noc(mesh, 4.0, 0.95, far_links);
+            NocModel noc(mesh, 4.0, 0.95, far_links);
             WalkingNocReference ref(mesh, 4.0, 0.95, far_links);
             const int messages = 300 * mesh.numTiles();
             // About one message per cycle: the busiest links pass the

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "net/contention_noc.hh"
+#include "net/noc_model.hh"
 #include "runtime/curves.hh"
 
 namespace cdcs
@@ -154,7 +154,7 @@ TEST(LatencyCurveTest, ContendedOracleRaisesTheCurve)
     // least the zero-load one.
     Mesh mesh(4, 4);
     LatencyModel lat;
-    ContentionNoc noc(mesh, 4.0, 0.95);
+    NocModel noc(mesh, 4.0, 0.95);
     for (TileId t = 0; t < mesh.numTiles(); t++) {
         for (int c = 0; c < mesh.numMemCtrls(); c++) {
             for (int i = 0; i < 100; i++)

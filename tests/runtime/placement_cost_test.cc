@@ -9,8 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "net/contention_noc.hh"
-#include "net/zero_load_noc.hh"
+#include "net/noc_model.hh"
 #include "runtime/placement_cost.hh"
 
 namespace cdcs
@@ -18,9 +17,9 @@ namespace cdcs
 namespace
 {
 
-/** Drive identical traffic into a ContentionNoc and refresh it. */
+/** Drive identical traffic into a contention mesh and refresh it. */
 void
-loadRoute(ContentionNoc &noc, TileId src, TileId dst,
+loadRoute(NocModel &noc, TileId src, TileId dst,
           std::uint32_t flits, int messages, double elapsed)
 {
     for (int i = 0; i < messages; i++)
@@ -34,7 +33,7 @@ TEST(PlacementCostTest, ZeroLoadOracleEqualsMeshArithmetic)
     // model every oracle query is the exact legacy expression, on
     // every tile pair, so consumers produce byte-identical results.
     Mesh mesh(8, 8);
-    ZeroLoadNoc noc(mesh);
+    NocModel noc(mesh);
     const PlacementCostModel cost =
         PlacementCostModel::fromNoc(noc, 4.0);
     ASSERT_TRUE(cost.valid());
@@ -63,7 +62,7 @@ TEST(PlacementCostTest, UnloadedContentionNocIsZeroWait)
     // model reports no waits, and the oracle degenerates to the
     // zero-load arithmetic.
     Mesh mesh(4, 4);
-    ContentionNoc noc(mesh, 1.0, 0.95);
+    NocModel noc(mesh, 1.0, 0.95);
     noc.epochUpdate(10000.0);
     const PlacementCostModel cost =
         PlacementCostModel::fromNoc(noc, 4.0);
@@ -75,7 +74,7 @@ TEST(PlacementCostTest, UnloadedContentionNocIsZeroWait)
 TEST(PlacementCostTest, ContendedRouteCostsMoreThanHops)
 {
     Mesh mesh(4, 4);
-    ContentionNoc noc(mesh, 1.0, 0.95);
+    NocModel noc(mesh, 1.0, 0.95);
     // Saturate the row-0 route: near-clamp utilization on its links.
     loadRoute(noc, mesh.tileAt(0, 0), mesh.tileAt(3, 0),
               /*flits=*/4, /*messages=*/4000, /*elapsed=*/4000.0);
@@ -102,7 +101,7 @@ TEST(PlacementCostTest, EffectiveDistanceMonotoneInInjectedLoad)
     const TileId dst = mesh.tileAt(3, 0);
     double prev = 0.0;
     for (const double scale : {0.5, 1.0, 2.0, 4.0}) {
-        ContentionNoc noc(mesh, scale, 0.95);
+        NocModel noc(mesh, scale, 0.95);
         loadRoute(noc, src, dst, /*flits=*/2, /*messages=*/1000,
                   /*elapsed=*/8000.0);
         const PlacementCostModel cost =
@@ -120,7 +119,7 @@ TEST(PlacementCostTest, QuantizationSuppressesNoiseWaits)
     // sub-quantum wait; the oracle must treat it as zero-load so the
     // placement tie-breaks stay in charge.
     Mesh mesh(4, 4);
-    ContentionNoc noc(mesh, 1.0, 0.95);
+    NocModel noc(mesh, 1.0, 0.95);
     loadRoute(noc, mesh.tileAt(0, 0), mesh.tileAt(3, 0),
               /*flits=*/1, /*messages=*/100, /*elapsed=*/10000.0);
     const PlacementCostModel cost =
@@ -134,7 +133,7 @@ TEST(PlacementCostTest, EwmaBlendDampsWaitSwings)
     const TileId src = mesh.tileAt(0, 0);
     const TileId dst = mesh.tileAt(3, 0);
 
-    ContentionNoc loaded(mesh, 1.0, 0.95);
+    NocModel loaded(mesh, 1.0, 0.95);
     loadRoute(loaded, src, dst, /*flits=*/4, /*messages=*/4000,
               /*elapsed=*/4000.0);
     const PlacementCostModel hot =
@@ -144,7 +143,7 @@ TEST(PlacementCostTest, EwmaBlendDampsWaitSwings)
     // The next epoch measures an idle network; with alpha = 0.5 the
     // blended oracle still charges about half the previous wait
     // instead of snapping to zero.
-    ContentionNoc idle(mesh, 1.0, 0.95);
+    NocModel idle(mesh, 1.0, 0.95);
     idle.epochUpdate(4000.0);
     const PlacementCostModel blended =
         PlacementCostModel::fromNoc(idle, 4.0, &hot, 0.5);
@@ -164,7 +163,7 @@ TEST(PlacementCostTest, DistanceToPointChargesAnchorRoute)
     // nearest the point: a thread looking toward a center of mass
     // behind saturated links sees the inflated distance.
     Mesh mesh(4, 4);
-    ContentionNoc noc(mesh, 1.0, 0.95);
+    NocModel noc(mesh, 1.0, 0.95);
     loadRoute(noc, mesh.tileAt(0, 0), mesh.tileAt(3, 0),
               /*flits=*/4, /*messages=*/4000, /*elapsed=*/4000.0);
     const PlacementCostModel cost =

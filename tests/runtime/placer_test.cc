@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "net/contention_noc.hh"
+#include "net/noc_model.hh"
 #include "runtime/optimistic_placer.hh"
 #include "runtime/refined_placer.hh"
 #include "runtime/thread_placer.hh"
@@ -195,7 +195,7 @@ TEST(ThreadPlacerTest, ContendedRouteRepelsThread)
     EXPECT_EQ(baseline[0], mesh.tileAt(1, 1));
     EXPECT_EQ(baseline[1], mesh.tileAt(1, 0));
 
-    ContentionNoc noc(mesh, 1.0, 0.95);
+    NocModel noc(mesh, 1.0, 0.95);
     for (int i = 0; i < 4000; i++) {
         noc.addTraffic(TrafficClass::L2ToLLC, mesh.tileAt(1, 0),
                        mesh.tileAt(1, 1), 4);
